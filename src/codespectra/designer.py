@@ -16,6 +16,7 @@ from .spectra import (
     PERM_LIMIT,
     all_vectors,
     alpha_table,
+    codewords,
     single_code_ensemble,
 )
 
@@ -48,10 +49,10 @@ def compose(outer, inner, perm=None, uniform=False):
         perms = [tuple(perm) if perm is not None else tuple(range(mid))]
     scale = Fraction(1, len(perms))
     merged = {}
-    for fc, fp in F.require_support():
+    for fc, fp in F.support:
         for sigma in perms:
             left = matmul(field, fc.generator, _perm_matrix(field, sigma))
-            for gc, gp in G.require_support():
+            for gc, gp in G.support:
                 code = LinearCode(field, matmul(field, left, gc.generator))
                 merged[code] = merged.get(code, 0) + fp * gp * scale
     if len(merged) == 1 and next(iter(merged.values())) == 1:
@@ -62,17 +63,8 @@ def compose(outer, inner, perm=None, uniform=False):
 def outer_weight_window(f, limit=ENUM_LIMIT):
     """Range of the zero-symbol fraction P(0) over nonzero codewords of f,
     reported as the tightest window around 1/q."""
-    field = f.field
-    if field.q**f.n > limit:
-        raise TooLarge("image enumeration too large")
-    q = field.q
-    zero_in = (0,) * f.n
-    p0s = set()
-    for x in all_vectors(field, f.n):
-        y = f.apply(x)
-        if x == zero_in or not any(y):
-            continue
-        p0s.add(Fraction(y.count(0), f.m))
+    q = f.field.q
+    p0s = {Fraction(y.count(0), f.m) for x, y in codewords(f, limit) if any(x) and any(y)}
     if not p0s:
         raise DomainError("code has no nonzero codewords")
     p0_min, p0_max = min(p0s), max(p0s)
@@ -151,7 +143,7 @@ def equivalence_G1(F, exact=True, samples=10**5, seed=0, limit=ENUM_LIMIT):
     and report how often the kernel survives."""
     F = _as_ensemble(F)
     field, m = F.field, F.m
-    support = F.require_support()
+    support = F.support
     if exact:
         count = field.q ** (m * m)
         if count > limit:
@@ -189,7 +181,7 @@ def equivalence_G2(F, exact=True, samples=10**5, seed=0, limit=ENUM_LIMIT):
     and report how often the image survives."""
     F = _as_ensemble(F)
     field, n = F.field, F.n
-    support = F.require_support()
+    support = F.support
     if exact:
         count = field.q ** (n * n)
         if count > limit:

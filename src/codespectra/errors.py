@@ -53,10 +53,6 @@ class SupportExplosion(CodeSpectraError):
     pass
 
 
-class UnsupportedSampler(CodeSpectraError):
-    pass
-
-
 class SupportViolation(CodeSpectraError):
     pass
 

@@ -9,7 +9,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TooLarge
 from .genfun import (
     genfun_from_joint,
     genfun_from_uspectrum,
@@ -21,8 +20,8 @@ from .linalg import null_space, rref
 from .spectra import (
     ENUM_LIMIT,
     LinearCode,
-    all_vectors,
     code_joint_spectrum,
+    codewords,
     u_set_spectrum,
 )
 
@@ -60,18 +59,9 @@ def random_subspace(field, n, seed):
 
 
 def enumerate_subspace(A, limit=ENUM_LIMIT):
-    if A.size > limit:
-        raise TooLarge(f"|A| = {A.size} exceeds limit {limit}")
-    field = A.field
-    out = []
-    for coeffs in all_vectors(field, A.dim):
-        vec = [0] * A.n
-        for c, row in zip(coeffs, A.basis):
-            if c == 0:
-                continue
-            vec = [field.add(v, field.mul(c, b)) for v, b in zip(vec, row)]
-        out.append(tuple(vec))
-    return out
+    if A.dim == 0:
+        return [(0,) * A.n]
+    return [vec for _, vec in codewords(LinearCode(A.field, A.basis), limit)]
 
 
 def orthogonal(A):

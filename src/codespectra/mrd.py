@@ -13,8 +13,15 @@ from fractions import Fraction
 
 from .errors import NotSCCGood, TooLarge
 from .gf import field_make
-from .linalg import rank
-from .spectra import CodeEnsemble, ENUM_LIMIT, LinearCode, all_vectors
+from .linalg import rank, transpose
+from .spectra import (
+    CodeEnsemble,
+    ENUM_LIMIT,
+    LinearCode,
+    all_vectors,
+    codewords,
+    point_distribution,
+)
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,6 @@ def verify_scc(E, limit=ENUM_LIMIT):
     violation.  The report also records whether the column maps y -> A y^T
     are uniform over GF(q)^n for y != 0.
     """
-    support = E.require_support()
     field, n, m = E.field, E.n, E.m
     if field.q**n * field.q**m > limit:
         raise TooLarge("input/output enumeration too large")
@@ -184,50 +190,34 @@ def verify_scc(E, limit=ENUM_LIMIT):
     for x in all_vectors(field, n):
         if not any(x):
             continue
-        dist = {}
-        for code, p in support:
-            y = code.apply(x)
-            dist[y] = dist.get(y, 0) + p
+        dist = point_distribution(E, x)
         for y in all_vectors(field, m):
             got = dist.get(y, Fraction(0))
             if got != target:
                 raise NotSCCGood((x, y, got))
     # column property: A y^T for y != 0 should be uniform over GF(q)^n
     col_target = Fraction(1, field.q**n)
+    columns = CodeEnsemble(
+        tuple((LinearCode(field, transpose(code.generator)), p) for code, p in E.support)
+    )
     column_ok = True
     for y in all_vectors(field, m):
         if not any(y):
             continue
-        dist = {}
-        for code, p in support:
-            v = tuple(
-                _dot(field, row, y) for row in code.generator
-            )
-            dist[v] = dist.get(v, 0) + p
+        dist = point_distribution(columns, y)
         if any(dist.get(v, 0) != col_target for v in all_vectors(field, n)):
             column_ok = False
             break
     return {"scc_good": True, "column_uniform": column_ok}
 
 
-def _dot(field, a, b):
-    acc = 0
-    for x, y in zip(a, b):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
-
-
 def kernel_stats(E, limit=ENUM_LIMIT):
     """Exact distribution of |ker F| over the support, with the mean identity
     and the characteristic-dependent lower bound on P{|ker| = 1}."""
-    support = E.require_support()
     field, n, m = E.field, E.n, E.m
-    if field.q**n > limit:
-        raise TooLarge("domain enumeration too large")
-    zero = (0,) * m
     dist = {}
-    for code, p in support:
-        size = sum(1 for x in all_vectors(field, n) if code.apply(x) == zero)
+    for code, p in E.support:
+        size = sum(1 for _, y in codewords(code, limit) if not any(y))
         dist[size] = dist.get(size, 0) + p
     mean = sum(Fraction(s) * p for s, p in dist.items())
     p_trivial = dist.get(1, Fraction(0))

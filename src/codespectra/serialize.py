@@ -30,21 +30,6 @@ def spectrum_from_json(obj):
     return out
 
 
-def joint_spectrum_to_json(J, q, n, m):
-    entries = []
-    for P, Q in sorted(J, key=lambda k: (k[0].counts, k[1].counts)):
-        mass = Fraction(J[(P, Q)])
-        entries.append(
-            {
-                "type_x": list(P.counts),
-                "type_y": list(Q.counts),
-                "num": str(mass.numerator),
-                "den": str(mass.denominator),
-            }
-        )
-    return {"q": q, "n": n, "m": m, "entries": entries}
-
-
 def _var_to_json(v):
     block, sym = v
     return [list(block) if isinstance(block, tuple) else block, sym]

@@ -8,6 +8,7 @@ throughout, with explicit size limits.
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,9 +16,9 @@ from .errors import (
     DimensionMismatch,
     EmptySequence,
     EmptySet,
+    NotStochastic,
     SupportExplosion,
     TooLarge,
-    UnsupportedSampler,
     ZeroMarginal,
 )
 from .linalg import matvec, rank
@@ -178,46 +179,29 @@ class LinearCode:
 
 @dataclass(frozen=True)
 class CodeEnsemble:
-    """Random linear code: explicit (code, probability) support or a sampler.
+    """Random linear code given by its explicit (code, probability) support."""
 
-    Exact-expectation operations require the explicit support; a
-    sampler-backed ensemble only supports seeded draws.
-    """
-
-    support: tuple = None
-    sampler: object = None
+    support: tuple
     description: str = ""
 
     def __post_init__(self):
-        if self.support is not None:
-            total = sum(p for _, p in self.support)
-            assert total == 1, f"support probabilities sum to {total}"
-
-    def require_support(self):
-        if self.support is None:
-            raise UnsupportedSampler(
-                f"exact expectation needs an explicit support ({self.description!r})"
-            )
-        return self.support
+        total = sum(p for _, p in self.support)
+        if total != 1:
+            raise NotStochastic(f"support probabilities sum to {total}")
 
     @property
     def field(self):
-        code = self.support[0][0] if self.support else self.sampler(0)
-        return code.field
+        return self.support[0][0].field
 
     @property
     def n(self):
-        code = self.support[0][0] if self.support else self.sampler(0)
-        return code.n
+        return self.support[0][0].n
 
     @property
     def m(self):
-        code = self.support[0][0] if self.support else self.sampler(0)
-        return code.m
+        return self.support[0][0].m
 
     def draw(self, seed):
-        if self.sampler is not None:
-            return self.sampler(seed)
         import random
 
         rng = random.Random(seed)
@@ -250,41 +234,70 @@ def all_matrices_ensemble(field, n, m, limit=ENUM_LIMIT):
 # spectra of codes
 
 
+def codewords(f, limit=ENUM_LIMIT):
+    """Yield (x, f.apply(x)) for every input x, in all_vectors order.
+
+    This is the one exhaustive walk over GF(q)^n, and the one place its size
+    is checked against limit (TooLarge is raised when iteration starts).
+    Each odometer step moves input coordinate i from c to the next element
+    c' = (c + 1) mod q, so the output moves by the precomputed row (c' - c) A_i,
+    the difference taken in the field.  Over a prime field c' - c is 1 and the
+    row is A_i itself; over GF(p^r) it depends on how many base-p digits of c
+    carry.
+    """
+    field, n = f.field, f.n
+    q = field.q
+    if q**n > limit:
+        raise TooLarge(f"q^n = {q**n} exceeds limit {limit}")
+    if field.r == 1:
+        p = field.p
+
+        def add(y, row):
+            return tuple([(a + b) % p for a, b in zip(y, row)])
+
+        steps = [[row] * q for row in f.generator]
+    else:
+
+        def add(y, row):
+            return tuple(map(field.add, y, row))
+
+        deltas = [field.sub((c + 1) % q, c) for c in range(q)]
+        steps = [[tuple(field.mul(d, a) for a in row) for d in deltas] for row in f.generator]
+    x = [0] * n
+    y = tuple(f.offset or (0,) * f.m)
+    yield tuple(x), y
+    for _ in range(q**n - 1):
+        i = n - 1
+        while x[i] == q - 1:
+            x[i] = 0
+            y = add(y, steps[i][q - 1])
+            i -= 1
+        y = add(y, steps[i][x[i]])
+        x[i] += 1
+        yield tuple(x), y
+
+
 def code_joint_spectrum(f, limit=ENUM_LIMIT):
     """Joint spectrum of the graph {(x, f(x))}."""
     field = f.field
-    if field.q**f.n > limit:
-        raise TooLarge(f"q^n = {field.q ** f.n} exceeds limit {limit}")
-    out = {}
-    w = Fraction(1, field.q**f.n)
-    for x in all_vectors(field, f.n):
-        key = (type_of(x, field), type_of(f.apply(x), field))
-        out[key] = out.get(key, 0) + w
-    return out
+    counts = Counter((type_of(x, field), type_of(y, field)) for x, y in codewords(f, limit))
+    total = field.q**f.n
+    return {key: Fraction(c, total) for key, c in counts.items()}
 
 
 def kernel_spectrum(f, limit=ENUM_LIMIT):
     if f.is_affine():
         raise ValueError("kernel of an affine map is not a subgroup")
-    field = f.field
-    if field.q**f.n > limit:
-        raise TooLarge(f"q^n = {field.q ** f.n} exceeds limit {limit}")
-    zero = (0,) * f.m
-    ker = [x for x in all_vectors(field, f.n) if f.apply(x) == zero]
-    return set_spectrum(ker, field)
+    return set_spectrum([x for x, y in codewords(f, limit) if not any(y)], f.field)
 
 
 def image_spectrum(f, limit=ENUM_LIMIT):
-    field = f.field
-    if field.q**f.n > limit:
-        raise TooLarge(f"q^n = {field.q ** f.n} exceeds limit {limit}")
-    image = {f.apply(x) for x in all_vectors(field, f.n)}
-    return set_spectrum(image, field)
+    return set_spectrum({y for _, y in codewords(f, limit)}, f.field)
 
 
 def ensemble_avg_joint_spectrum(E, limit=ENUM_LIMIT):
     out = {}
-    for code, p in E.require_support():
+    for code, p in E.support:
         for key, mass in code_joint_spectrum(code, limit).items():
             out[key] = out.get(key, 0) + p * mass
     return {k: v for k, v in out.items() if v != 0}
@@ -413,7 +426,7 @@ def randomize(E, mode):
     """
     if mode not in ("in", "out", "both", "affine"):
         raise ValueError(f"unknown mode {mode!r}")
-    support = E.require_support()
+    support = E.support
     field, n, m = E.field, E.n, E.m
     in_perms = _permutation_matrices(field, n) if mode in ("in", "both", "affine") else [None]
     out_perms = _permutation_matrices(field, m) if mode in ("out", "both", "affine") else [None]
@@ -440,7 +453,7 @@ def randomize(E, mode):
 def point_distribution(E, x):
     """Exact distribution of F(x) over the explicit support."""
     out = {}
-    for code, p in E.require_support():
+    for code, p in E.support:
         y = code.apply(x)
         out[y] = out.get(y, 0) + p
     return out
@@ -449,7 +462,7 @@ def point_distribution(E, x):
 def rates(obj):
     """(R_s, R_c, R) from the generator rank: R_s = rank ln q / n, etc."""
     if isinstance(obj, CodeEnsemble):
-        codes = [c for c, _ in obj.require_support()]
+        codes = [c for c, _ in obj.support]
     else:
         codes = [obj]
     ranks = {rank(c.field, c.generator) for c in codes}

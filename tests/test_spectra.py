@@ -1,11 +1,15 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from codespectra.errors import EmptySequence, EmptySet, ZeroMarginal
+from codespectra.designer import outer_weight_window
+from codespectra.errors import EmptySequence, EmptySet, NotStochastic, TooLarge, ZeroMarginal
 from codespectra.gf import field_make
+from codespectra.macwilliams import Subspace, enumerate_subspace, subspace_from_rows
+from codespectra.mrd import kernel_stats
 from codespectra.spectra import (
     CodeEnsemble,
     LinearCode,
@@ -15,6 +19,7 @@ from codespectra.spectra import (
     alpha,
     alpha_table,
     code_joint_spectrum,
+    codewords,
     compose_avg_conditional,
     conditional_at,
     conditional_spectrum,
@@ -281,3 +286,53 @@ def test_spectrum_serialization_roundtrip():
     counts = [e["type"] for e in obj["entries"]]
     assert counts == sorted(counts)
     assert spectrum_from_json(obj) == s
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_codewords_match_apply(p, r):
+    # GF(4), GF(8) and GF(9) step by ((c + 1) - c) A_i, which is not A_i there
+    field = field_make(p, r)
+    q = field.q
+    rng = random.Random(q)
+    n = 3 if q <= 4 else 2
+    rows = [tuple(rng.randrange(q) for _ in range(3)) for _ in range(n)]
+    rows[1] = (0, 0, 0)
+    offset = tuple(rng.randrange(q) for _ in range(3))
+    codes = [
+        LinearCode(field, tuple(rows[:1])),
+        LinearCode(field, tuple(rows)),
+        LinearCode(field, tuple(rows), offset),
+    ]
+    for f in codes:
+        assert list(codewords(f)) == [(x, f.apply(x)) for x in all_vectors(field, f.n)]
+
+
+def test_enumerate_subspace_dim_zero():
+    assert enumerate_subspace(Subspace(f3, 4, ())) == [(0, 0, 0, 0)]
+
+
+_code = LinearCode(f3, ((1, 2, 0), (0, 1, 1)))
+_ENUMERATIONS = {
+    "code_joint_spectrum": lambda limit: code_joint_spectrum(_code, limit),
+    "kernel_spectrum": lambda limit: kernel_spectrum(_code, limit),
+    "image_spectrum": lambda limit: image_spectrum(_code, limit),
+    "enumerate_subspace": lambda limit: enumerate_subspace(
+        subspace_from_rows(f3, _code.generator), limit
+    ),
+    "outer_weight_window": lambda limit: outer_weight_window(_code, limit),
+    "kernel_stats": lambda limit: kernel_stats(single_code_ensemble(_code), limit),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENUMERATIONS))
+def test_enumeration_limit_is_q_to_the_n(name):
+    run = _ENUMERATIONS[name]
+    with pytest.raises(TooLarge):
+        run(3**2 - 1)
+    assert run(3**2)
+
+
+def test_ensemble_probabilities_must_sum_to_one():
+    code = LinearCode(f2, ((1,),))
+    with pytest.raises(NotStochastic):
+        CodeEnsemble(support=((code, Fraction(1, 2)), (code, Fraction(1, 3))))
