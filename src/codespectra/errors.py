@@ -37,10 +37,6 @@ class DimensionMismatch(CodeSpectraError):
     pass
 
 
-class RingMismatch(CodeSpectraError):
-    pass
-
-
 class NotARefinement(CodeSpectraError):
     pass
 

@@ -3,25 +3,17 @@
 A variable is a pair (block, symbol): block tags which vector of
 indeterminates it belongs to (e.g. "u", "v", or ("u", block_index) for
 partitioned spectra) and symbol is the field element in [0, q).  Coefficients
-are Fractions, ints, or CycInt values; mixing rationals with cyclotomics
-promotes to CycInt automatically.
+are Fractions or ints.
 """
 
 from fractions import Fraction
 
-from .errors import NotARefinement, NotStochastic, RingMismatch
-from .gf import CycInt
+from .errors import DomainError, NotARefinement, NotStochastic
 from .spectra import set_spectrum
 
 
 def _var_key(v):
     return (str(v[0]), v[1])
-
-
-def _is_zero(c):
-    if isinstance(c, CycInt):
-        return c.is_zero()
-    return c == 0
 
 
 class GenPoly:
@@ -34,12 +26,12 @@ class GenPoly:
         self.vars = tuple(vars[i] for i in order)
         clean = {}
         for exp, c in terms.items():
-            if _is_zero(c):
+            if c == 0:
                 continue
             key = tuple(exp[i] for i in order)
             if key in clean:
                 c = clean[key] + c
-                if _is_zero(c):
+                if c == 0:
                     del clean[key]
                     continue
             clean[key] = c
@@ -49,7 +41,7 @@ class GenPoly:
 
     @classmethod
     def constant(cls, value):
-        return cls((), {(): value} if not _is_zero(value) else {})
+        return cls((), {(): value} if value != 0 else {})
 
     @classmethod
     def variable(cls, var):
@@ -65,19 +57,6 @@ class GenPoly:
             exp[i] = 1
             terms[tuple(exp)] = coeffs[v]
         return cls(vars, terms)
-
-    # -- ring bookkeeping ----------------------------------------------------
-
-    def _cyc_order(self):
-        for c in self.terms.values():
-            if isinstance(c, CycInt):
-                return c.p
-        return None
-
-    def _check_ring(self, other):
-        p1, p2 = self._cyc_order(), other._cyc_order()
-        if p1 is not None and p2 is not None and p1 != p2:
-            raise RingMismatch(f"cyclotomic orders {p1} and {p2} cannot mix")
 
     def _align(self, other):
         merged = sorted(set(self.vars) | set(other.vars), key=_var_key)
@@ -100,7 +79,6 @@ class GenPoly:
     def __add__(self, other):
         if not isinstance(other, GenPoly):
             other = GenPoly.constant(other)
-        self._check_ring(other)
         vars, t1, t2 = self._align(other)
         for exp, c in t2.items():
             t1[exp] = t1.get(exp, 0) + c
@@ -116,7 +94,6 @@ class GenPoly:
     def __mul__(self, other):
         if not isinstance(other, GenPoly):
             return self.scale(other)
-        self._check_ring(other)
         vars, t1, t2 = self._align(other)
         out = {}
         for e1, c1 in t1.items():
@@ -132,7 +109,8 @@ class GenPoly:
         return GenPoly(self.vars, {e: factor * c for e, c in self.terms.items()})
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0
+        if not isinstance(k, int) or k < 0:
+            raise DomainError(f"exponent must be a non-negative int, got {k!r}")
         result = GenPoly.constant(1)
         base = self
         while k:
@@ -148,7 +126,7 @@ class GenPoly:
         _, t1, t2 = self._align(other)
         keys = set(t1) | set(t2)
         for k in keys:
-            if not _is_zero(t1.get(k, 0) - t2.get(k, 0)):
+            if t1.get(k, 0) != t2.get(k, 0):
                 return False
         return True
 
@@ -204,15 +182,6 @@ class GenPoly:
     def block_vars(self, block):
         return [v for v in self.vars if v[0] == block]
 
-    def as_rational(self):
-        """Assert every coefficient is rational and strip the CycInt wrapper."""
-        out = {}
-        for exp, c in self.terms.items():
-            if isinstance(c, CycInt):
-                c = c.as_rational()
-            out[exp] = c
-        return GenPoly(self.vars, out)
-
 
 # ---------------------------------------------------------------------------
 # spectrum generating functions
@@ -252,26 +221,6 @@ def genfun_from_uspectrum(uspec, prefix="u"):
         exp = tuple(c for P in key for c in P.counts)
         terms[exp] = terms.get(exp, 0) + mass
     return GenPoly(vars, terms)
-
-
-def substitute_linear(p, block, M):
-    """u_a -> (u M)_a = sum_x u_x M[x][a] for every variable of the block."""
-    from .errors import DimensionMismatch
-
-    bvars = p.block_vars(block)
-    q = len(M)
-    if any(len(row) != q for row in M):
-        raise DimensionMismatch("substitution matrix must be square")
-    if any(a >= q for (_, a) in bvars):
-        raise DimensionMismatch(
-            f"block {block!r} uses a symbol outside the {q}x{q} matrix range"
-        )
-    mapping = {}
-    for (_, a) in bvars:
-        mapping[(block, a)] = GenPoly.linear_form(
-            {(block, x): M[x][a] for x in range(q)}
-        )
-    return p.substitute(mapping)
 
 
 def expect_rename(p, block, K):

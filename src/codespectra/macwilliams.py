@@ -1,28 +1,28 @@
 """Orthogonal complements and exact MacWilliams transforms.
 
-The transform computes the dual's generating function by the character-matrix
-substitution.  All cyclotomic intermediates must cancel back to rationals;
-a non-rational residue is a bug and raises, it is never rounded away.
+The transforms count a code's members by type as integers and apply the
+MacWilliams identity for complete weight enumerators: every variable u_a
+becomes the character sum sum_x zeta^{Tr(x a)} u_x.  Character sums are kept
+as integer coefficient vectors on zeta^0..zeta^{p-1}, and each output
+coefficient is checked rational and divided once by a power of q.  A
+non-rational residue is a bug and raises, it is never rounded away.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .genfun import (
-    genfun_from_joint,
-    genfun_from_uspectrum,
-    genfun_of_set,
-    substitute_linear,
-)
-from .gf import mw_matrix
+from .genfun import GenPoly, genfun_from_joint
+from .gf import CycInt
 from .linalg import null_space, rref
 from .spectra import (
     ENUM_LIMIT,
     LinearCode,
     code_joint_spectrum,
     codewords,
-    u_set_spectrum,
+    partition_make,
+    type_of,
 )
 
 
@@ -58,10 +58,14 @@ def random_subspace(field, n, seed):
     return subspace_from_rows(field, rows, n)
 
 
-def enumerate_subspace(A, limit=ENUM_LIMIT):
+def _members(A, limit):
     if A.dim == 0:
         return [(0,) * A.n]
-    return [vec for _, vec in codewords(LinearCode(A.field, A.basis), limit)]
+    return (y for _, y in codewords(LinearCode(A.field, A.basis), limit))
+
+
+def enumerate_subspace(A, limit=ENUM_LIMIT):
+    return list(_members(A, limit))
 
 
 def orthogonal(A):
@@ -75,40 +79,87 @@ def orthogonal(A):
     return subspace_from_rows(A.field, basis, A.n) if basis else Subspace(A.field, A.n, ())
 
 
-def mw_transform(A, partition=None, limit=ENUM_LIMIT):
-    """Generating function of the dual of A via character substitution.
+def _mw_kernel(field, counts, divisor):
+    """MacWilliams substitution of integer type counts, one block at a time.
 
-    With a coordinate partition the per-block variable vectors are each
-    substituted by u_block M.  Equals the directly enumerated dual genfun.
+    counts maps concatenated per-block type counts (q entries per block) to
+    integer multiplicities.  In every block each u_a becomes the linear form
+    sum_x zeta^{Tr(x a)} u_x.  Values in Z[zeta_p] are p integer coefficients
+    on zeta^0..zeta^{p-1}; at the end each must be rational (CycInt.as_rational
+    raises otherwise) and is divided once by divisor.  Returns
+    {concatenated output counts: Fraction}.
     """
-    field = A.field
-    M = mw_matrix(field)
-    members = enumerate_subspace(A, limit)
-    dual_size = field.q ** (A.n - A.dim)
+    p, q = field.p, field.q
+    shifts = [[field.trace(field.mul(x, a)) for x in range(q)] for a in range(q)]
+    memo = {}
+
+    def expand(e):
+        # prod_a (sum_x zeta^{Tr(x a)} u_x)^{e_a}, one linear form at a time
+        if e not in memo:
+            poly = {(0,) * q: [1] + [0] * (p - 1)}
+            for a, k in enumerate(e):
+                for _ in range(k):
+                    out = {}
+                    for y, vec in poly.items():
+                        for x, s in enumerate(shifts[a]):
+                            acc = out.setdefault(y[:x] + (y[x] + 1,) + y[x + 1 :], [0] * p)
+                            for i, c in enumerate(vec):
+                                acc[(i + s) % p] += c
+                    poly = out
+            memo[e] = poly
+        return memo[e]
+
+    # keys: (transformed output blocks, blocks still to transform)
+    state = {((), key): [mult] + [0] * (p - 1) for key, mult in counts.items()}
+    for _ in range(len(next(iter(counts))) // q):
+        nxt = {}
+        for (done, rest), vec in state.items():
+            for y, w in expand(rest[:q]).items():
+                acc = nxt.setdefault((done + y, rest[q:]), [0] * p)
+                for i, a in enumerate(vec):
+                    if a:
+                        for j, b in enumerate(w):
+                            acc[(i + j) % p] += a * b
+        state = nxt
+    return {y: Fraction(CycInt(p, c).as_rational(), divisor) for (y, _), c in state.items()}
+
+
+def mw_transform(A, partition=None, limit=ENUM_LIMIT):
+    """Generating function of the dual of A by the MacWilliams identity.
+
+    Counts the members of A by type (per block of a coordinate partition, if
+    given), substitutes u_a -> sum_x zeta^{Tr(x a)} u_x in every block with
+    integer cyclotomic coefficients, and divides once by q^n.  Equals the
+    directly enumerated dual genfun.
+    """
+    field, q = A.field, A.field.q
     if partition is None:
-        g = genfun_of_set(members, field)
-        g = substitute_linear(g, "u", M)
+        blocks = [range(A.n)]
+        vars = tuple(("u", a) for a in range(q))
     else:
-        g = genfun_from_uspectrum(u_set_spectrum(members, field, partition))
-        for bi in range(len(partition)):
-            g = substitute_linear(g, ("u", bi), M)
-    return g.scale(Fraction(1, dual_size)).as_rational()
+        blocks = partition_make(partition, A.n)
+        vars = tuple((("u", b), a) for b in range(len(blocks)) for a in range(q))
+    counts = Counter(
+        tuple(c for block in blocks for c in type_of([y[i] for i in block], field).counts)
+        for y in _members(A, limit)
+    )
+    return GenPoly(vars, _mw_kernel(field, counts, q**A.n))
 
 
 def mw_joint_transpose(field, A, limit=ENUM_LIMIT):
     """Joint generating function of -g, g(y) = y A^T, from that of f(x) = x A.
 
-    Double character substitution on both variable blocks, scaled by 1/q^m.
-    In the result the v block carries the input of -g and the u block its
-    output.
+    The MacWilliams substitution on both variable blocks of the joint genfun
+    of f, divided once by q^(n+m).  In the result the v block carries the
+    input of -g and the u block its output.
     """
-    m = len(A[0])
+    q = field.q
     f = LinearCode(field, tuple(tuple(r) for r in A))
-    g = genfun_from_joint(code_joint_spectrum(f, limit))
-    M = mw_matrix(field)
-    g = substitute_linear(g, "u", M)
-    g = substitute_linear(g, "v", M)
-    return g.scale(Fraction(1, field.q**m)).as_rational()
+    counts = Counter(
+        type_of(x, field).counts + type_of(y, field).counts for x, y in codewords(f, limit)
+    )
+    vars = tuple(("u", a) for a in range(q)) + tuple(("v", a) for a in range(q))
+    return GenPoly(vars, _mw_kernel(field, counts, q ** (f.n + f.m)))
 
 
 def neg_transpose_code(field, A):

@@ -6,10 +6,9 @@ precision is lost; matrices use a plain text block whose first line is
 """
 
 from fractions import Fraction
-from math import lcm
 
+from .errors import DimensionMismatch, DomainError
 from .genfun import GenPoly
-from .gf import CycInt
 from .spectra import TypeVector
 
 
@@ -43,16 +42,8 @@ def _var_from_json(v):
 def genpoly_to_json(p):
     terms = []
     for exp, c in sorted(p.terms.items()):
-        entry = {"exp": list(exp)}
-        if isinstance(c, CycInt):
-            den = lcm(*(Fraction(x).denominator for x in c.coeffs)) if c.coeffs else 1
-            entry["cyc"] = [int(Fraction(x) * den) for x in c.coeffs]
-            entry["den"] = str(den)
-        else:
-            c = Fraction(c)
-            entry["num"] = str(c.numerator)
-            entry["den"] = str(c.denominator)
-        terms.append(entry)
+        c = Fraction(c)
+        terms.append({"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)})
     return {"vars": [_var_to_json(v) for v in p.vars], "terms": terms}
 
 
@@ -60,12 +51,7 @@ def genpoly_from_json(obj):
     vars = tuple(_var_from_json(v) for v in obj["vars"])
     terms = {}
     for t in obj["terms"]:
-        if "cyc" in t:
-            den = int(t["den"])
-            coeff = CycInt(len(t["cyc"]), [Fraction(x, den) for x in t["cyc"]])
-        else:
-            coeff = Fraction(int(t["num"]), int(t["den"]))
-        terms[tuple(t["exp"])] = coeff
+        terms[tuple(t["exp"])] = Fraction(int(t["num"]), int(t["den"]))
     return GenPoly(vars, terms)
 
 
@@ -84,8 +70,11 @@ def matrix_from_text(text):
     rows = []
     for ln in lines[1 : n + 1]:
         row = tuple(int(v) for v in ln.split())
-        assert len(row) == m, "row length does not match header"
-        assert all(0 <= v < q for v in row), "entry out of range"
+        if len(row) != m:
+            raise DimensionMismatch(f"row {row} has {len(row)} entries, header says {m}")
+        if not all(0 <= v < q for v in row):
+            raise DomainError(f"row {row} has an entry outside 0..{q - 1}")
         rows.append(row)
-    assert len(rows) == n, "row count does not match header"
+    if len(rows) != n:
+        raise DimensionMismatch(f"{len(rows)} rows, header says {n}")
     return q, tuple(rows)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from codespectra.cli import main
+from codespectra.errors import DimensionMismatch, DomainError
 from codespectra.serialize import matrix_from_text, matrix_to_text
 
 
@@ -170,3 +171,18 @@ def test_bad_q_rejected():
         )
     with pytest.raises(ValueError):
         main(["lower-bound", "--alphabet-size", "0", "--m", "2"])
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("2 2 2\n1 0\n", DimensionMismatch),  # fewer rows than the header
+        ("2 1 2\n1 0 1\n", DimensionMismatch),  # row longer than the header
+        ("2 1 2\n1 5\n", DomainError),  # entry outside GF(2)
+    ],
+)
+def test_macwilliams_rejects_malformed_matrix(tmp_path, text, error):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(error):
+        main(["macwilliams", str(path)])

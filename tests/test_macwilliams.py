@@ -1,13 +1,16 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from codespectra.genfun import genfun_of_set
+from codespectra.genfun import GenPoly, genfun_of_set
 from codespectra.gf import field_make
 from codespectra.macwilliams import (
     Subspace,
+    _mw_kernel,
     enumerate_subspace,
     joint_transpose_reference,
     mw_joint_transpose,
@@ -21,6 +24,12 @@ from codespectra.spectra import partition_make
 f2 = field_make(2)
 f3 = field_make(3)
 f4 = field_make(2, 2)
+f5 = field_make(5)
+f7 = field_make(7)
+f8 = field_make(2, 3)
+f9 = field_make(3, 2)
+# every small field, each with a length whose space is cheap to enumerate
+SMALL_FIELDS = [(f2, 6), (f3, 4), (f4, 3), (f5, 3), (f7, 3), (f8, 3), (f9, 3)]
 
 
 def test_orthogonal_examples():
@@ -70,7 +79,10 @@ def test_mw_transform_gf4_line():
     assert mw_transform(A) == ref
 
 
-@pytest.mark.parametrize("field,n,count", [(f2, 6, 25), (f3, 4, 25), (f4, 3, 15)])
+@pytest.mark.parametrize(
+    "field,n,count",
+    [(f2, 6, 25), (f3, 4, 25), (f4, 3, 15), (f5, 3, 15), (f7, 3, 10), (f8, 3, 10), (f9, 3, 10)],
+)
 def test_mw_transform_random_subspaces(field, n, count):
     for seed in range(count):
         A = random_subspace(field, n, seed)
@@ -93,19 +105,52 @@ def test_mw_transform_partitioned():
             u_set_spectrum(enumerate_subspace(orthogonal(A)), f2, part)
         )
         assert got == want
+    # one partitioned case on every small field
+    for field, n in SMALL_FIELDS:
+        A = random_subspace(field, n, 41)
+        dual_members = enumerate_subspace(orthogonal(A))
+        assert A.size * len(dual_members) == field.q**n
+        part = partition_make([range(0, n, 2), range(1, n, 2)], n)
+        want = genfun_from_uspectrum(u_set_spectrum(dual_members, field, part))
+        assert mw_transform(A, partition=part) == want
 
 
 def test_mw_transform_bidual_roundtrip():
     # a subspace is negation-closed, so transforming twice returns its genfun
-    for seed in range(10):
-        A = random_subspace(f3, 4, seed)
-        dual = orthogonal(A)
-        assert mw_transform(dual) == genfun_of_set(enumerate_subspace(A), f3)
+    for field, n in SMALL_FIELDS:
+        for seed in range(10):
+            A = random_subspace(field, n, seed)
+            dual = orthogonal(A)
+            assert mw_transform(dual) == genfun_of_set(enumerate_subspace(A), field)
+
+
+def test_mw_transforms_do_not_recurse_per_symbol():
+    # blocks longer than the recursion limit: the all-ones line of GF(2)^n,
+    # whose dual holds the even-weight words, and the parity map it defines
+    n = 300
+    line = ((1,) * n,)
+    want = {(n - w, w): Fraction(comb(n, w), 2 ** (n - 1)) for w in range(0, n + 1, 2)}
+    joint_vars = (("u", 0), ("u", 1), ("v", 0), ("v", 1))
+    joint = {(1 - w % 2, w % 2, n - w, w): Fraction(comb(n, w), 2**n) for w in range(n + 1)}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(n * 2 // 3)
+    try:
+        got = mw_transform(subspace_from_rows(f2, line))
+        got_joint = mw_joint_transpose(f2, line)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == GenPoly((("u", 0), ("u", 1)), want)
+    assert got_joint == GenPoly(joint_vars, joint)
+
+
+def test_mw_kernel_rejects_non_rational_residue():
+    # the single vector (1,) over GF(3) is not a subspace: its transform
+    # u_0 + zeta u_1 + zeta^2 u_2 has no rational coefficients
+    with pytest.raises(ValueError):
+        _mw_kernel(f3, {(0, 1, 0): 1}, 3)
 
 
 def test_joint_transpose_repetition():
-    from codespectra.genfun import GenPoly
-
     got = mw_joint_transpose(f2, ((1, 1),))
     u0, u1 = GenPoly.variable(("u", 0)), GenPoly.variable(("u", 1))
     v0, v1 = GenPoly.variable(("v", 0)), GenPoly.variable(("v", 1))
@@ -126,8 +171,10 @@ def test_joint_transpose_exhaustive_gf2(n, m):
 
 
 def test_joint_transpose_sampled_gf3():
+    # also GF(4) and GF(5), where the trace and p differ from GF(3)
     rng = random.Random(7)
-    for _ in range(15):
-        n, m = rng.randint(1, 2), rng.randint(1, 2)
-        A = tuple(tuple(rng.randrange(3) for _ in range(m)) for _ in range(n))
-        assert mw_joint_transpose(f3, A) == joint_transpose_reference(f3, A)
+    for field in (f3, f4, f5):
+        for _ in range(15):
+            n, m = rng.randint(1, 2), rng.randint(1, 2)
+            A = tuple(tuple(rng.randrange(field.q) for _ in range(m)) for _ in range(n))
+            assert mw_joint_transpose(field, A) == joint_transpose_reference(field, A)
