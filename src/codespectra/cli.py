@@ -1,7 +1,9 @@
 """Command line front end.
 
 Every subcommand prints JSON to stdout (or --out); matrices travel in the
-plain text format of serialize.matrix_to_text.
+plain text format of serialize.matrix_to_text.  A CodeSpectraError becomes
+one JSON line {"error": <class>, "message": ...} on stderr and exit code 2;
+argparse rejects bad option values with exit code 2 as well.
 """
 
 import argparse
@@ -10,6 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import designer, ldgm, macwilliams, mrd, serialize
+from .errors import CodeSpectraError
 from .gf import field_make
 from .spectra import LinearCode, TypeVector, set_spectrum
 
@@ -172,6 +175,20 @@ def cmd_lower_bound(args):
     _emit(args, {"bound_num": str(bound.numerator), "bound_den": str(bound.denominator), "bound": float(bound)})
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
+def _unit_float(text):
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"{value} lies outside [0, 1]")
+    return value
+
+
 def build_parser():
     top = argparse.ArgumentParser(prog="codespectra")
     sub = top.add_subparsers(dest="command", required=True)
@@ -188,7 +205,7 @@ def build_parser():
 
     p = sub.add_parser("gabidulin", help="build or verify a Gabidulin code")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -201,9 +218,9 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p0", type=float, required=True)
-    p.add_argument("--q0", type=float, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--p0", type=_unit_float, required=True)
+    p.add_argument("--q0", type=_unit_float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ldgm_bound)
 
@@ -211,7 +228,7 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ldgm_sample)
@@ -236,7 +253,7 @@ def build_parser():
     p = sub.add_parser("verify-equivalence", help="kernel/image preservation probability")
     p.add_argument("--mode", choices=["g1", "g2"], required=True)
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--matrix")
     p.add_argument("--samples", type=int, default=0, help="0 means exact enumeration")
     p.add_argument("--seed", type=int, default=0)
@@ -254,7 +271,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except CodeSpectraError as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 2
     return 0
 
 

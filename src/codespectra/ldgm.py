@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, SupportViolation, TooLarge
+from .errors import DimensionMismatch, DomainError, SupportViolation, TooLarge
 from .genfun import GenPoly, expect_rename, multiplier_kernel
 from .spectra import (
     CodeEnsemble,
@@ -138,7 +138,8 @@ def g1(q, d, n, Q):
 
 def chk_avg_spectrum(q, d, n, P, Q):
     """Exact expected spectrum of the parallel randomized check code."""
-    assert P.n == d * n and Q.n == n
+    if P.n != d * n or Q.n != n:
+        raise DimensionMismatch(f"types of lengths {P.n}, {Q.n}; need {d * n}, {n}")
     poly = g1(q, d, n, Q)
     return Fraction(poly.coef({("u", a): P.counts[a] for a in range(q)}))
 
@@ -192,20 +193,25 @@ def Delta(P):
     return entropy(P) - math.log(type_class_size(P)) / P.n
 
 
+def _wlog(w, arg):
+    """One term w ln(arg) of J: an arg just below 0 (rounding) counts as 0,
+    whose term is -inf whatever w; a clearly negative arg is an error."""
+    if arg < 0:
+        if arg > -1e-15:
+            arg = 0.0
+        else:
+            raise DomainError(f"negative log argument {arg}")
+    return -INF if arg == 0 else w * math.log(arg)
+
+
 def J(q, d, x, y):
     if not (0 <= x <= 1 and 0 <= y <= 1):
         raise DomainError("J arguments must lie in [0, 1]")
     t = ((q * x - 1) / (q - 1)) ** d
     total = 0.0
     for w, arg in ((y, 1 + (q - 1) * t), (1 - y, 1 - t)):
-        if w == 0:
-            continue
-        if arg < 0:
-            if arg > -1e-15:
-                arg = 0.0
-            else:
-                raise DomainError(f"negative log argument {arg}")
-        total += -INF if arg == 0 else w * math.log(arg)
+        if w != 0:
+            total += _wlog(w, arg)
     return total
 
 
@@ -222,11 +228,34 @@ def delta_qd(q, d, x, y, tol=1e-9, grid=10**4):
 
     Grid scan plus golden-section refinement around the best cell; the
     boundary value J(q,d,x,y) (the xh -> x limit) caps the result, so the
-    return value never exceeds J + tol.
+    return value never exceeds J + tol.  x and y are checked once; the
+    objective is divergence and J inlined with the same float operations in
+    the same order (J's clamp included), so the result is bit-identical to
+    evaluating d * divergence(x, xh) + J(q, d, xh, y) at every point.
     """
+    if not (0 <= x <= 1 and 0 <= y <= 1):
+        # the first evaluation that would have failed names the check
+        name = "divergence" if grid > 1 and not 0 <= x <= 1 else "J"
+        raise DomainError(f"{name} arguments must lie in [0, 1]")
+    log = math.log
+    x1, y1, qm1 = 1 - x, 1 - y, q - 1
 
     def f(xh):
-        return d * divergence(x, xh) + J(q, d, xh, y)
+        div = 0.0
+        if x != 0:
+            div += x * log(x / xh) if xh != 0 else INF
+        if x1 != 0:
+            r = 1 - xh
+            div += x1 * log(x1 / r) if r != 0 else INF
+        t = ((q * xh - 1) / qm1) ** d
+        j = 0.0
+        if y != 0:
+            a = 1 + qm1 * t
+            j += y * log(a) if a > 0 else _wlog(y, a)
+        if y1 != 0:
+            a = 1 - t
+            j += y1 * log(a) if a > 0 else _wlog(y1, a)
+        return d * div + j
 
     best_i, best_v = None, INF
     for i in range(1, grid):
@@ -295,23 +324,65 @@ def ldgm_sample(params, seed):
     return code, edges
 
 
+def _edge_count_tables(rows, room, c):
+    """Every table of `rows` rows, each summing to c, with column sums room.
+
+    Rows are chosen first to last, each in itertools.product order.
+    """
+    if rows == 0:
+        yield ()
+        return
+    for row in itertools.product(*(range(min(r, c) + 1) for r in room)):
+        if sum(row) == c:
+            rest = tuple(r - a for r, a in zip(room, row))
+            for tail in _edge_count_tables(rows - 1, rest, c):
+                yield (row,) + tail
+
+
 def ldgm_ensemble_exact(params, limit=8):
-    """Explicit uniform support over every interleaver and multiplier choice."""
+    """Explicit support over every interleaver and multiplier choice.
+
+    The L!·(q-1)^L choices are not walked one by one.  An interleaver fixes
+    the edge-count table N (N_ij edges from input i to check j, row sums c,
+    column sums d), and ∏c!·∏d!/∏N_ij! interleavers give the same N.  Given
+    N, generator entry (i, j) is the sum of N_ij independent uniform nonzero
+    multipliers, independently across entries.  Each code's integer weight
+    is summed over the tables and divided once by L!·(q-1)^L.  The support
+    lists codes in order of first appearance over the tables (as
+    _edge_count_tables yields them) and, within a table, over the entry
+    values; that is not the order of an interleaver walk.
+    """
     L = params.mid_len
     if L > limit:
         raise TooLarge(f"exact expansion capped at intermediate length {limit}")
-    q = params.field.q
-    mult_space = list(itertools.product(range(1, q), repeat=L))
-    total = math.factorial(L) * len(mult_space)
-    p = Fraction(1, total)
-    merged = {}
-    for perm in itertools.permutations(range(L)):
-        for mults in mult_space:
-            code = ldgm_generator(params, perm, mults)
-            merged[code] = merged.get(code, 0) + p
+    field, c, d = params.field, params.c, params.d
+    q, rows, cols = field.q, params.in_len, params.out_len
+    # sums[k][v]: how many of the (q-1)^k multiplier tuples add up to v
+    sums = [{0: 1}]
+    for _ in range(min(c, d)):
+        nxt = {}
+        for v, w in sums[-1].items():
+            for a in range(1, q):
+                s = field.add(v, a)
+                nxt[s] = nxt.get(s, 0) + w
+        sums.append(nxt)
+    perms_const = math.factorial(c) ** rows * math.factorial(d) ** cols
+    weights = {}
+    for table in _edge_count_tables(rows, (d,) * cols, c):
+        flat = [k for row in table for k in row]
+        perms = perms_const // math.prod(map(math.factorial, flat))
+        for choice in itertools.product(*(sums[k].items() for k in flat)):
+            w = perms
+            for _, count in choice:
+                w *= count
+            gen = tuple(
+                tuple(v for v, _ in choice[i * cols : (i + 1) * cols]) for i in range(rows)
+            )
+            weights[gen] = weights.get(gen, 0) + w
+    total = math.factorial(L) * (q - 1) ** L
     return CodeEnsemble(
-        support=tuple(merged.items()),
-        description=f"ldgm q={q} c={params.c} d={params.d} n={params.n}",
+        support=tuple((LinearCode(field, gen), Fraction(w, total)) for gen, w in weights.items()),
+        description=f"ldgm q={q} c={c} d={d} n={params.n}",
     )
 
 
@@ -323,7 +394,10 @@ def ldgm_conditional_spectrum(params, P, Q):
     check code at the stretched type.
     """
     q = params.field.q
-    assert P.n == params.in_len and Q.n == params.out_len
+    if P.n != params.in_len or Q.n != params.out_len:
+        raise DimensionMismatch(
+            f"types of lengths {P.n}, {Q.n}; need {params.in_len}, {params.out_len}"
+        )
     Pt = stretch_type(P, params.c)
     joint = chk_avg_spectrum(q, params.d, params.out_len, Pt, Q)
     marginal = Fraction(type_class_size(Pt), q**params.mid_len)

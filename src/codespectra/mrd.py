@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotSCCGood, TooLarge
+from .errors import DimensionMismatch, NotSCCGood, TooLarge
 from .gf import field_make
 from .linalg import rank, transpose
 from .spectra import (
@@ -94,7 +94,8 @@ def gabidulin_encode(spec, message):
     expand the values to coordinate columns."""
     ext = spec.ext
     q = spec.base.q
-    assert len(message) == spec.k
+    if len(message) != spec.k:
+        raise DimensionMismatch(f"message has {len(message)} symbols, the code has k = {spec.k}")
     cols = []
     for x in spec.points:
         acc = 0

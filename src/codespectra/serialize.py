@@ -66,7 +66,10 @@ def matrix_to_text(q, rows):
 
 def matrix_from_text(text):
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    q, n, m = (int(v) for v in lines[0].split())
+    header = lines[0].split() if lines else []
+    if len(header) != 3:
+        raise DimensionMismatch(f"header {header} is not 'q n m'")
+    q, n, m = (int(v) for v in header)
     rows = []
     for ln in lines[1 : n + 1]:
         row = tuple(int(v) for v in ln.split())

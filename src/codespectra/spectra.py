@@ -202,16 +202,21 @@ class CodeEnsemble:
         return self.support[0][0].m
 
     def draw(self, seed):
+        """One member, exactly with its probability: a uniform integer below
+        D is matched against the cumulative weights p·D in support order."""
         import random
 
-        rng = random.Random(seed)
-        u = Fraction(rng.randrange(10**9), 10**9)
-        acc = Fraction(0)
-        for code, p in self.support:
-            acc += p
+        scale, weights = _integer_weights(self.support)
+        u = random.Random(seed).randrange(scale)
+        for (code, _), acc in zip(self.support, itertools.accumulate(weights)):
             if u < acc:
                 return code
-        return self.support[-1][0]
+
+
+def _integer_weights(support):
+    """(D, [p·D per member]), D the lcm of the support's denominators."""
+    scale = math.lcm(*(p.denominator for _, p in support))
+    return scale, [p.numerator * (scale // p.denominator) for _, p in support]
 
 
 def single_code_ensemble(code):
@@ -277,12 +282,36 @@ def codewords(f, limit=ENUM_LIMIT):
         yield tuple(x), y
 
 
+def _joint_type_counts(f, in_keys, limit):
+    """Counter of (input counts, output counts) integer tuples over codewords(f).
+
+    in_keys yields the input count tuples in codewords order; they depend only
+    on q and n, so an ensemble computes them once for all its members.
+    """
+    if not f.m:
+        raise EmptySequence("cannot take the type of an empty sequence")
+    syms = range(f.field.q)
+    outs = (tuple(map(y.count, syms)) for _, y in codewords(f, limit))
+    return Counter(zip(in_keys, outs, strict=True))
+
+
+def _input_keys(field, n):
+    syms = range(field.q)
+    return (tuple(map(x.count, syms)) for x in all_vectors(field, n))
+
+
+def _typed(counts, total):
+    """Joint spectrum from integer counts over total; zero counts are dropped."""
+    return {
+        (TypeVector(P), TypeVector(Q)): Fraction(c, total)
+        for (P, Q), c in counts.items()
+        if c
+    }
+
+
 def code_joint_spectrum(f, limit=ENUM_LIMIT):
     """Joint spectrum of the graph {(x, f(x))}."""
-    field = f.field
-    counts = Counter((type_of(x, field), type_of(y, field)) for x, y in codewords(f, limit))
-    total = field.q**f.n
-    return {key: Fraction(c, total) for key, c in counts.items()}
+    return _typed(_joint_type_counts(f, _input_keys(f.field, f.n), limit), f.field.q**f.n)
 
 
 def kernel_spectrum(f, limit=ENUM_LIMIT):
@@ -296,11 +325,25 @@ def image_spectrum(f, limit=ENUM_LIMIT):
 
 
 def ensemble_avg_joint_spectrum(E, limit=ENUM_LIMIT):
-    out = {}
-    for code, p in E.support:
-        for key, mass in code_joint_spectrum(code, limit).items():
-            out[key] = out.get(key, 0) + p * mass
-    return {k: v for k, v in out.items() if v != 0}
+    """Expected joint spectrum over the explicit support.
+
+    Member type counts are weighted by the integer p·D, D the lcm of the
+    support's denominators, and divided once by D·q^n.  The input types are
+    computed once, since every member walks codewords in the same order.
+    Keys whose expected mass is zero do not appear.
+    """
+    field, n = E.field, E.n
+    scale, weights = _integer_weights(E.support)
+    acc = {}
+    in_keys = None
+    for (code, _), w in zip(E.support, weights):
+        counts = _joint_type_counts(code, in_keys or _input_keys(field, n), limit)
+        if in_keys is None and len(E.support) > 1:
+            # the first walk has passed the size guard in codewords
+            in_keys = list(_input_keys(field, n))
+        for key, c in counts.items():
+            acc[key] = acc.get(key, 0) + w * c
+    return _typed(acc, scale * field.q**n)
 
 
 def alpha(E, P, Q, avg=None):

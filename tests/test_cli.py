@@ -181,8 +181,42 @@ def test_bad_q_rejected():
         ("2 1 2\n1 5\n", DomainError),  # entry outside GF(2)
     ],
 )
-def test_macwilliams_rejects_malformed_matrix(tmp_path, text, error):
+def test_macwilliams_rejects_malformed_matrix(tmp_path, capsys, text, error):
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    with pytest.raises(error):
-        main(["macwilliams", str(path)])
+    assert main(["macwilliams", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == error.__name__
+
+
+def test_short_header_is_a_one_line_json_error(tmp_path, capsys):
+    path = tmp_path / "short.txt"
+    path.write_text("2 2\n1 0\n")
+    assert main(["dual", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "DimensionMismatch"
+    assert "q n m" in report["message"]
+
+
+def _rejected_by_argparse(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_ldgm_sample_rejects_nonpositive_n(capsys, n):
+    argv = ["ldgm-sample", "--q", "2", "--c", "1", "--d", "2", "--n", n]
+    assert _rejected_by_argparse(capsys, argv)
+
+
+@pytest.mark.parametrize("flag,value", [("--p0", "1.5"), ("--p0", "-0.1"), ("--q0", "2")])
+def test_ldgm_bound_rejects_fraction_outside_unit_interval(capsys, flag, value):
+    argv = ["ldgm-bound", "--q", "2", "--c", "2", "--d", "4", "--n", "8", "--p0", "0.5", "--q0", "0.5"]
+    argv[argv.index(flag) + 1] = value
+    assert _rejected_by_argparse(capsys, argv)

@@ -1,10 +1,11 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from codespectra.errors import DomainError, SupportViolation, TooLarge
+from codespectra.errors import DimensionMismatch, DomainError, SupportViolation, TooLarge
 from codespectra.genfun import GenPoly
 from codespectra.gf import field_make
 from codespectra.ldgm import (
@@ -25,6 +26,7 @@ from codespectra.ldgm import (
     ldgm_alpha_bound,
     ldgm_conditional_spectrum,
     ldgm_ensemble_exact,
+    ldgm_generator,
     ldgm_sample,
     lemma2_bound,
     rep_genfun,
@@ -47,6 +49,8 @@ from codespectra.spectra import (
 
 f2 = field_make(2)
 f3 = field_make(3)
+f4 = field_make(2, 2)
+f5 = field_make(5)
 
 
 def _u(a):
@@ -281,6 +285,117 @@ def test_ldgm_sample_q3_multipliers_nonzero():
 def test_ldgm_ensemble_exact_cap():
     with pytest.raises(TooLarge):
         ldgm_ensemble_exact(LdgmParams(f2, 3, 3, 10))
+
+
+def _ldgm_ensemble_walk(params):
+    """Reference: walk all L! interleavers times (q-1)^L multiplier tuples."""
+    L, q = params.mid_len, params.field.q
+    mult_space = list(itertools.product(range(1, q), repeat=L))
+    p = Fraction(1, math.factorial(L) * len(mult_space))
+    merged = {}
+    for perm in itertools.permutations(range(L)):
+        for mults in mult_space:
+            code = ldgm_generator(params, perm, mults)
+            merged[code] = merged.get(code, 0) + p
+    return merged
+
+
+def _ldgm_shapes(max_len):
+    """Every (c, d, n) whose intermediate length c d' n is at most max_len."""
+    return [
+        (c, d, n)
+        for c in range(1, max_len + 1)
+        for d in range(1, max_len + 1)
+        for n in range(1, max_len + 1)
+        if c * (d // math.gcd(c, d)) * n <= max_len
+    ]
+
+
+# The walk costs L!·(q-1)^L generators, so the larger fields stop at a
+# shorter intermediate length (GF(3) at L = 6 alone would take about 15 s).
+@pytest.mark.parametrize(
+    "field,max_len",
+    [(f2, 6), (f3, 5), (f4, 4), (f5, 4)],
+    ids=["GF2-L6", "GF3-L5", "GF4-L4", "GF5-L4"],
+)
+def test_ldgm_ensemble_exact_matches_interleaver_walk(field, max_len):
+    shapes = _ldgm_shapes(max_len)
+    # the shapes include gcd(c, d) > 1 and c > d
+    assert (2, 2, 1) in shapes and (2, 1, 1) in shapes
+    for c, d, n in shapes:
+        params = LdgmParams(field, c, d, n)
+        E = ldgm_ensemble_exact(params)
+        assert dict(E.support) == _ldgm_ensemble_walk(params), (c, d, n)
+        assert len(E.support) == len(dict(E.support))
+        assert E.description == f"ldgm q={field.q} c={c} d={d} n={n}"
+
+
+def _delta_qd_reference(q, d, x, y, tol=1e-9, grid=200):
+    """The scan and golden-section refinement of delta_qd, evaluating the
+    objective through the public divergence and J at every point."""
+
+    def f(xh):
+        return d * divergence(x, xh) + J(q, d, xh, y)
+
+    best_i, best_v = None, math.inf
+    for i in range(1, grid):
+        v = f(i / grid)
+        if v < best_v:
+            best_i, best_v = i, v
+    if best_i is not None:
+        phi = (math.sqrt(5) - 1) / 2
+        a, b = max(1e-15, (best_i - 1) / grid), min(1 - 1e-15, (best_i + 1) / grid)
+        c1, c2 = b - phi * (b - a), a + phi * (b - a)
+        f1, f2 = f(c1), f(c2)
+        while b - a > tol:
+            if f1 <= f2:
+                b, c2, f2 = c2, c1, f1
+                c1 = b - phi * (b - a)
+                f1 = f(c1)
+            else:
+                a, c1, f1 = c1, c2, f2
+                c2 = a + phi * (b - a)
+                f2 = f(c2)
+        best_v = min(best_v, f1, f2)
+    return min(best_v, J(q, d, x, y))
+
+
+def test_delta_qd_is_bit_identical_to_public_objective():
+    rng = random.Random(11)
+    shapes = [(2, 1), (2, 2), (2, 3), (2, 6), (2, 35), (3, 2), (3, 4), (4, 3), (5, 2)]
+    edges = [(x, y) for x in (0, 1, 0.0, 1.0) for y in (0, 1, 0.0, 1.0)]
+    edges += [(0, 0.4), (1, 0.7), (0.3, 0), (0.8, 1), (0.5, 0.5)]
+    for q, d in shapes:
+        points = edges + [(rng.random(), rng.random()) for _ in range(4)]
+        for x, y in points:
+            got = delta_qd(q, d, x, y, grid=200)
+            assert repr(got) == repr(_delta_qd_reference(q, d, x, y)), (q, d, x, y)
+    # the default grid as well, at a few points
+    for q, d, x, y in ((2, 4, 0.3, 0.6), (3, 2, 0.05, 0.9), (2, 35, 0.5, 0.02)):
+        assert repr(delta_qd(q, d, x, y)) == repr(_delta_qd_reference(q, d, x, y, grid=10**4))
+
+
+@pytest.mark.parametrize(
+    "x,y", [(-0.1, 0.5), (1.5, 0.5), (0.5, -1e-9), (0.5, 1.01), (math.nan, 0.5), (0.5, math.nan)]
+)
+def test_delta_qd_rejects_arguments_outside_unit_interval(x, y):
+    with pytest.raises(DomainError):
+        delta_qd(2, 3, x, y)
+    with pytest.raises(DomainError):
+        delta_qd(2, 3, x, y, grid=1)
+
+
+def test_type_length_checks_are_typed():
+    # raised, not asserted, so they hold under python -O as well
+    params = LdgmParams(f2, 2, 4, 2)
+    with pytest.raises(DimensionMismatch):
+        ldgm_conditional_spectrum(params, TypeVector((1, 1)), TypeVector((1, 1)))
+    with pytest.raises(DimensionMismatch):
+        ldgm_conditional_spectrum(params, TypeVector((2, 2)), TypeVector((1, 2)))
+    with pytest.raises(DimensionMismatch):
+        chk_avg_spectrum(2, 2, 2, TypeVector((1, 1)), TypeVector((1, 1)))
+    with pytest.raises(DimensionMismatch):
+        chk_avg_spectrum(2, 2, 2, TypeVector((2, 2)), TypeVector((3, 0)))
 
 
 def test_stretch_type():

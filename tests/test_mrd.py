@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from codespectra.errors import NotSCCGood
+from codespectra.errors import DimensionMismatch, NotSCCGood
 from codespectra.mrd import (
     enumerate_code,
     gabidulin_encode,
@@ -26,6 +26,14 @@ def test_binary_2x2_k1_codewords():
         ((0, 1), (1, 1)),
         ((1, 1), (1, 0)),
     }
+
+
+def test_encode_rejects_wrong_message_length():
+    # raised, not asserted, so it holds under python -O as well
+    spec = gabidulin_make(2, 2, 2, 1)
+    for message in ((1, 1, 1), (1, 1), ()):
+        with pytest.raises(DimensionMismatch):
+            gabidulin_encode(spec, message)
 
 
 def test_binary_2x2_k1_report():

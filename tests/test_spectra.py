@@ -52,6 +52,8 @@ def test_type_of():
     assert type_of([2, 2, 1], f4).counts == (0, 1, 2, 0)
     with pytest.raises(EmptySequence):
         type_of([], f2)
+    with pytest.raises(EmptySequence):
+        code_joint_spectrum(LinearCode(f2, ((),)))
 
 
 def test_enumerate_types_counts():
@@ -336,3 +338,62 @@ def test_ensemble_probabilities_must_sum_to_one():
     code = LinearCode(f2, ((1,),))
     with pytest.raises(NotStochastic):
         CodeEnsemble(support=((code, Fraction(1, 2)), (code, Fraction(1, 3))))
+
+
+def _weighted_sum_of_spectra(E):
+    out = {}
+    for code, p in E.support:
+        for key, mass in code_joint_spectrum(code).items():
+            out[key] = out.get(key, 0) + p * mass
+    return {k: v for k, v in out.items() if v != 0}
+
+
+@pytest.mark.parametrize(
+    "field,n,m",
+    [(f2, 2, 3), (f2, 3, 2), (f3, 2, 2), (f4, 1, 2)],
+    ids=["GF2-2x3", "GF2-3x2", "GF3-2x2", "GF4-1x2"],
+)
+def test_ensemble_average_equals_weighted_sum(field, n, m):
+    E = all_matrices_ensemble(field, n, m)
+    for ensemble in (E, randomize(E, "both")):
+        assert ensemble_avg_joint_spectrum(ensemble) == _weighted_sum_of_spectra(ensemble)
+
+
+def test_ensemble_average_mixed_denominators_and_zero_member():
+    zero = LinearCode(f3, ((0, 0), (0, 0)))
+    first = LinearCode(f3, ((1, 0), (0, 0)))  # x -> (x0, 0)
+    second = LinearCode(f3, ((0, 0), (2, 0)))  # x -> (2 x1, 0)
+    identity = LinearCode(f3, ((1, 0), (0, 1)))
+    E = CodeEnsemble(
+        support=(
+            (zero, Fraction(1, 2)),
+            (identity, Fraction(0)),
+            (first, Fraction(1, 3)),
+            (second, Fraction(1, 6)),
+        )
+    )
+    avg = ensemble_avg_joint_spectrum(E)
+    assert avg == _weighted_sum_of_spectra(E)
+    assert sum(avg.values()) == 1
+    # only the zero-probability identity reaches an output without a zero
+    both = TypeVector((0, 1, 1))
+    assert (both, both) in code_joint_spectrum(identity)
+    assert all(Q.counts[0] > 0 for _, Q in avg)
+    assert all(mass != 0 for mass in avg.values())
+
+
+def test_draw_is_exact():
+    # masses 1/3 and 2/3: the member is chosen by one randrange(3)
+    a, b = LinearCode(f2, ((0,),)), LinearCode(f2, ((1,),))
+    E = CodeEnsemble(support=((a, Fraction(1, 3)), (b, Fraction(2, 3))))
+    for seed in range(40):
+        want = a if random.Random(seed).randrange(3) == 0 else b
+        assert E.draw(seed) == want, seed
+    # mixed denominators over the lcm 6, and a zero-probability member
+    c0, c1, c2, c3 = (LinearCode(f3, (row,)) for row in ((0, 0), (1, 0), (2, 0), (1, 1)))
+    F = CodeEnsemble(
+        support=((c0, Fraction(1, 6)), (c1, Fraction(0)), (c2, Fraction(1, 2)), (c3, Fraction(1, 3)))
+    )
+    for seed in range(40):
+        u = random.Random(seed).randrange(6)
+        assert F.draw(seed) == (c0 if u < 1 else c2 if u < 4 else c3), seed
