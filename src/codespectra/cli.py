@@ -125,9 +125,7 @@ def cmd_ldgm_sample(args):
 
 
 def cmd_design(args):
-    out = designer.design_concat(
-        args.q, Fraction(args.outer_rate), args.p0_min, args.p0_max, args.delta
-    )
+    out = designer.design_concat(args.q, args.outer_rate, args.p0_min, args.p0_max, args.delta)
     _emit(args, out)
 
 
@@ -175,10 +173,27 @@ def cmd_lower_bound(args):
     _emit(args, {"bound_num": str(bound.numerator), "bound_den": str(bound.denominator), "bound": float(bound)})
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _positive_fraction(text):
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a fraction") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
     return value
 
 
@@ -216,8 +231,8 @@ def build_parser():
 
     p = sub.add_parser("ldgm-bound", help="evaluate the LDGM spectrum bound")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--c", type=_positive_int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--p0", type=_unit_float, required=True)
     p.add_argument("--q0", type=_unit_float, required=True)
@@ -226,8 +241,8 @@ def build_parser():
 
     p = sub.add_parser("ldgm-sample", help="draw a sparse LDGM generator")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--c", type=_positive_int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -235,7 +250,7 @@ def build_parser():
 
     p = sub.add_parser("design", help="choose inner LDGM parameters")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--outer-rate", required=True)
+    p.add_argument("--outer-rate", type=_positive_fraction, required=True)
     p.add_argument("--p0-min", type=float, required=True)
     p.add_argument("--p0-max", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
@@ -261,8 +276,8 @@ def build_parser():
     p.set_defaults(func=cmd_verify_equivalence)
 
     p = sub.add_parser("lower-bound", help="single-code max-alpha lower bound")
-    p.add_argument("--alphabet-size", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--alphabet-size", type=_int_at_least(2), required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lower_bound)
 

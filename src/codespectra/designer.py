@@ -25,17 +25,13 @@ def _as_ensemble(obj):
     return obj if isinstance(obj, CodeEnsemble) else single_code_ensemble(obj)
 
 
-def _perm_matrix(field, perm):
-    n = len(perm)
-    return tuple(tuple(1 if perm[i] == j else 0 for j in range(n)) for i in range(n))
-
-
 def compose(outer, inner, perm=None, uniform=False):
     """Concatenation outer, then an interleaver, then inner.
 
     perm is an explicit permutation of the intermediate coordinates; with
     uniform=True the result is the ensemble over all interleavers instead.
-    Generator of each member is A_outer . P_sigma . A_inner.
+    Generator of each member is A_outer . P_sigma . A_inner, where
+    P_sigma . A_inner is A_inner with its rows taken in the order sigma.
     """
     F, G = _as_ensemble(outer), _as_ensemble(inner)
     if F.m != G.n:
@@ -47,13 +43,15 @@ def compose(outer, inner, perm=None, uniform=False):
         perms = list(itertools.permutations(range(mid)))
     else:
         perms = [tuple(perm) if perm is not None else tuple(range(mid))]
+        if sorted(perms[0]) != list(range(mid)):
+            raise DomainError(f"perm {perms[0]} is not a permutation of 0..{mid - 1}")
     scale = Fraction(1, len(perms))
     merged = {}
     for fc, fp in F.support:
         for sigma in perms:
-            left = matmul(field, fc.generator, _perm_matrix(field, sigma))
             for gc, gp in G.support:
-                code = LinearCode(field, matmul(field, left, gc.generator))
+                right = tuple(gc.generator[i] for i in sigma)
+                code = LinearCode(field, matmul(field, fc.generator, right))
                 merged[code] = merged.get(code, 0) + fp * gp * scale
     if len(merged) == 1 and next(iter(merged.values())) == 1:
         return next(iter(merged))
@@ -138,24 +136,21 @@ def wilson_interval(successes, trials, z=1.96):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def equivalence_G1(F, exact=True, samples=10**5, seed=0, limit=ENUM_LIMIT):
-    """Left-compose F with a uniform square random code on its output side
-    and report how often the kernel survives."""
-    F = _as_ensemble(F)
-    field, m = F.field, F.m
-    support = F.support
+def _equivalence(F, side, product, invariant, exact, samples, seed, limit):
+    """How often invariant(A) survives A -> product(field, A, M), M a uniform
+    side x side matrix and A the generator of a member of F."""
+    field = F.field
     if exact:
-        count = field.q ** (m * m)
+        count = field.q ** (side * side)
         if count > limit:
             raise TooLarge(f"{count} matrices; use exact=False")
         prob = Fraction(0)
-        for code, p in support:
-            base = _kernel_basis(field, code.generator)
+        for code, p in F.support:
+            base = invariant(field, code.generator)
             hits = 0
-            for flat in all_vectors(field, m * m):
-                M = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(m))
-                comp = matmul(field, code.generator, M)
-                if _kernel_basis(field, comp) == base:
+            for flat in all_vectors(field, side * side):
+                M = tuple(tuple(flat[i * side : (i + 1) * side]) for i in range(side))
+                if invariant(field, product(field, code.generator, M)) == base:
                     hits += 1
             prob += p * Fraction(hits, count)
         return {"probability": prob, "kq": kq_product(field.q, 64), "exact": True}
@@ -163,9 +158,9 @@ def equivalence_G1(F, exact=True, samples=10**5, seed=0, limit=ENUM_LIMIT):
     hits = 0
     for _ in range(samples):
         code = F.draw(rng.randrange(1 << 30))
-        M = tuple(tuple(rng.randrange(field.q) for _ in range(m)) for _ in range(m))
-        comp = matmul(field, code.generator, M)
-        if _kernel_basis(field, comp) == _kernel_basis(field, code.generator):
+        M = tuple(tuple(rng.randrange(field.q) for _ in range(side)) for _ in range(side))
+        comp = product(field, code.generator, M)
+        if invariant(field, comp) == invariant(field, code.generator):
             hits += 1
     lo, hi = wilson_interval(hits, samples)
     return {
@@ -174,44 +169,22 @@ def equivalence_G1(F, exact=True, samples=10**5, seed=0, limit=ENUM_LIMIT):
         "kq": float(kq_product(field.q, 64)),
         "exact": False,
     }
+
+
+def equivalence_G1(F, exact=True, samples=10**5, seed=0, limit=ENUM_LIMIT):
+    """Left-compose F with a uniform square random code on its output side
+    and report how often the kernel survives."""
+    F = _as_ensemble(F)
+    return _equivalence(F, F.m, matmul, _kernel_basis, exact, samples, seed, limit)
 
 
 def equivalence_G2(F, exact=True, samples=10**5, seed=0, limit=ENUM_LIMIT):
     """Right-compose F with a uniform square random code on its input side
     and report how often the image survives."""
     F = _as_ensemble(F)
-    field, n = F.field, F.n
-    support = F.support
-    if exact:
-        count = field.q ** (n * n)
-        if count > limit:
-            raise TooLarge(f"{count} matrices; use exact=False")
-        prob = Fraction(0)
-        for code, p in support:
-            base = _row_space(field, code.generator)
-            hits = 0
-            for flat in all_vectors(field, n * n):
-                M = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-                comp = matmul(field, M, code.generator)
-                if _row_space(field, comp) == base:
-                    hits += 1
-            prob += p * Fraction(hits, count)
-        return {"probability": prob, "kq": kq_product(field.q, 64), "exact": True}
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(samples):
-        code = F.draw(rng.randrange(1 << 30))
-        M = tuple(tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(n))
-        comp = matmul(field, M, code.generator)
-        if _row_space(field, comp) == _row_space(field, code.generator):
-            hits += 1
-    lo, hi = wilson_interval(hits, samples)
-    return {
-        "probability": hits / samples,
-        "interval95": (lo, hi),
-        "kq": float(kq_product(field.q, 64)),
-        "exact": False,
-    }
+    return _equivalence(
+        F, F.n, lambda field, A, M: matmul(field, M, A), _row_space, exact, samples, seed, limit
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -64,15 +64,22 @@ def matrix_to_text(q, rows):
     return "\n".join(lines) + "\n"
 
 
+def _integers(fields):
+    try:
+        return tuple(int(v) for v in fields)
+    except ValueError:
+        raise DomainError(f"{' '.join(fields)!r} has a field that is not an integer") from None
+
+
 def matrix_from_text(text):
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 3:
         raise DimensionMismatch(f"header {header} is not 'q n m'")
-    q, n, m = (int(v) for v in header)
+    q, n, m = _integers(header)
     rows = []
     for ln in lines[1 : n + 1]:
-        row = tuple(int(v) for v in ln.split())
+        row = _integers(ln.split())
         if len(row) != m:
             raise DimensionMismatch(f"row {row} has {len(row)} entries, header says {m}")
         if not all(0 <= v < q for v in row):

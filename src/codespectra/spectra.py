@@ -107,12 +107,8 @@ def set_spectrum(A, field):
     A = list(A)
     if not A:
         raise EmptySet("spectrum of an empty set")
-    out = {}
-    w = Fraction(1, len(A))
-    for x in A:
-        P = type_of(x, field)
-        out[P] = out.get(P, 0) + w
-    return out
+    counts = Counter(type_of(x, field) for x in A)
+    return {P: Fraction(c, len(A)) for P, c in counts.items()}
 
 
 def partition_make(blocks, n):
@@ -139,12 +135,10 @@ def u_set_spectrum(A, field, partition):
     if not A:
         raise EmptySet("spectrum of an empty set")
     partition = partition_make(partition, len(A[0]))
-    out = {}
-    w = Fraction(1, len(A))
-    for x in A:
-        key = tuple(type_of([x[i] for i in block], field) for block in partition)
-        out[key] = out.get(key, 0) + w
-    return out
+    counts = Counter(
+        tuple(type_of([x[i] for i in block], field) for block in partition) for x in A
+    )
+    return {key: Fraction(c, len(A)) for key, c in counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -438,56 +432,47 @@ def compose_avg_conditional(F, G, limit=ENUM_LIMIT):
 # randomized-code transforms
 
 
-def _permutation_matrices(field, n):
-    if n > PERM_LIMIT:
-        raise SupportExplosion(f"permutation expansion capped at n <= {PERM_LIMIT}")
-    mats = []
-    for perm in itertools.permutations(range(n)):
-        mats.append(tuple(tuple(1 if perm[i] == j else 0 for j in range(n)) for i in range(n)))
-    return mats
-
-
-def _apply_perms(field, code, in_perms, out_perms):
-    from .linalg import matmul
-
-    out = []
-    for pin in in_perms:
-        left = matmul(field, pin, code.generator) if pin is not None else code.generator
-        for pout in out_perms:
-            gen = matmul(field, left, pout) if pout is not None else left
-            out.append(LinearCode(field, gen, code.offset))
-    return out
-
-
 def randomize(E, mode):
     """Expand an ensemble over coordinate permutations and, for mode affine,
     uniform output offsets.
 
     mode "in" composes with a uniform input permutation, "out" with an output
     permutation, "both" with independent ones, "affine" additionally adds a
-    uniform offset so every single point maps uniformly.
+    uniform offset so every single point maps uniformly.  A permutation acts
+    by reindexing the generator A: P·A takes the rows of A in the order perm,
+    and A·P takes its columns in the order of the inverse permutation.
     """
     if mode not in ("in", "out", "both", "affine"):
         raise ValueError(f"unknown mode {mode!r}")
-    support = E.support
     field, n, m = E.field, E.n, E.m
-    in_perms = _permutation_matrices(field, n) if mode in ("in", "both", "affine") else [None]
-    out_perms = _permutation_matrices(field, m) if mode in ("out", "both", "affine") else [None]
+
+    def perms(k, used):
+        if not used:
+            return [None]
+        if k > PERM_LIMIT:
+            raise SupportExplosion(f"permutation expansion capped at n <= {PERM_LIMIT}")
+        return list(itertools.permutations(range(k)))
+
+    in_perms = perms(n, mode != "out")
+    out_inverses = [
+        p if p is None else tuple(sorted(range(m), key=p.__getitem__))
+        for p in perms(m, mode != "in")
+    ]
     offsets = list(all_vectors(field, m)) if mode == "affine" else [None]
-    scale = Fraction(1, len(in_perms) * len(out_perms) * len(offsets))
-    new = []
-    for code, p in support:
-        for variant in _apply_perms(field, code, in_perms, out_perms):
-            for off in offsets:
-                if off is None:
-                    new.append((variant, p * scale))
-                else:
-                    base = variant.offset or (0,) * m
-                    shifted = tuple(field.add(a, b) for a, b in zip(base, off))
-                    new.append((LinearCode(field, variant.generator, shifted), p * scale))
+    scale = Fraction(1, len(in_perms) * len(out_inverses) * len(offsets))
     merged = {}
-    for code, p in new:
-        merged[code] = merged.get(code, 0) + p
+    for code, p in E.support:
+        A = code.generator
+        for pin in in_perms:
+            left = A if pin is None else tuple(tuple(A[i]) for i in pin)
+            for inv in out_inverses:
+                gen = left if inv is None else tuple(tuple(row[j] for j in inv) for row in left)
+                for off in offsets:
+                    offset = code.offset
+                    if off is not None:
+                        offset = tuple(map(field.add, offset or (0,) * m, off))
+                    variant = LinearCode(field, gen, offset)
+                    merged[variant] = merged.get(variant, 0) + p * scale
     return CodeEnsemble(
         support=tuple(merged.items()), description=f"{E.description} randomized {mode}"
     )

@@ -2,10 +2,21 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codespectra.cli import main
 from codespectra.errors import DimensionMismatch, DomainError
-from codespectra.serialize import matrix_from_text, matrix_to_text
+from codespectra.genfun import genfun_from_joint, genfun_from_uspectrum, genfun_of_set
+from codespectra.gf import field_make
+from codespectra.serialize import (
+    genpoly_from_json,
+    genpoly_to_json,
+    matrix_from_text,
+    matrix_to_text,
+)
+from codespectra.spectra import LinearCode, code_joint_spectrum, u_set_spectrum
+
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 
 def _run(capsys, argv):
@@ -163,14 +174,13 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["mrd_ok"]
 
 
-def test_bad_q_rejected():
+def test_bad_q_rejected(capsys):
     with pytest.raises(SystemExit):
         main(
             ["ldgm-bound", "--q", "6", "--c", "1", "--d", "2", "--n", "2",
              "--p0", "0.5", "--q0", "0.5"]
         )
-    with pytest.raises(ValueError):
-        main(["lower-bound", "--alphabet-size", "0", "--m", "2"])
+    assert _rejected_by_argparse(capsys, ["lower-bound", "--alphabet-size", "0", "--m", "2"])
 
 
 @pytest.mark.parametrize(
@@ -179,6 +189,8 @@ def test_bad_q_rejected():
         ("2 2 2\n1 0\n", DimensionMismatch),  # fewer rows than the header
         ("2 1 2\n1 0 1\n", DimensionMismatch),  # row longer than the header
         ("2 1 2\n1 5\n", DomainError),  # entry outside GF(2)
+        ("2 1 2\n1 x\n", DomainError),  # entry not an integer
+        ("2 one 2\n1 0\n", DomainError),  # header field not an integer
     ],
 )
 def test_macwilliams_rejects_malformed_matrix(tmp_path, capsys, text, error):
@@ -188,6 +200,35 @@ def test_macwilliams_rejects_malformed_matrix(tmp_path, capsys, text, error):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"] == error.__name__
+
+
+def _vectors(q, n, min_size=1, max_size=6):
+    return st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=min_size, max_size=max_size)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_matrix_text_roundtrip(data):
+    q = field_make(*data.draw(st.sampled_from(SMALL_FIELDS))).q
+    m = data.draw(st.integers(1, 5))
+    rows = tuple(data.draw(_vectors(q, m)))
+    assert matrix_from_text(matrix_to_text(q, rows)) == (q, rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_genpoly_json_roundtrip(data):
+    # plain, partitioned (tuple block names) and joint generating functions
+    field = field_make(*data.draw(st.sampled_from(SMALL_FIELDS)))
+    members = data.draw(_vectors(field.q, 3))
+    rows = tuple(data.draw(_vectors(field.q, 2, min_size=1, max_size=2)))
+    for p in (
+        genfun_of_set(members, field),
+        genfun_from_uspectrum(u_set_spectrum(members, field, [[0, 2], [1]])),
+        genfun_from_joint(code_joint_spectrum(LinearCode(field, rows))),
+    ):
+        back = genpoly_from_json(json.loads(json.dumps(genpoly_to_json(p))))
+        assert back == p and back.vars == p.vars
 
 
 def test_short_header_is_a_one_line_json_error(tmp_path, capsys):
@@ -220,3 +261,47 @@ def test_ldgm_bound_rejects_fraction_outside_unit_interval(capsys, flag, value):
     argv = ["ldgm-bound", "--q", "2", "--c", "2", "--d", "4", "--n", "8", "--p0", "0.5", "--q0", "0.5"]
     argv[argv.index(flag) + 1] = value
     assert _rejected_by_argparse(capsys, argv)
+
+
+_LDGM = ["--q", "2", "--c", "2", "--d", "4", "--n", "8"]
+_BOUND = ["ldgm-bound", *_LDGM, "--p0", "0.5", "--q0", "0.5"]
+_DESIGN = ["design", "--q", "2", "--outer-rate", "1/5", "--p0-min", "0.05",
+           "--p0-max", "0.95", "--delta", "0.05"]
+
+
+def _with(argv, flag, value):
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lower-bound", "--alphabet-size", "1", "--m", "2"],
+        ["lower-bound", "--alphabet-size", "2", "--m", "0"],
+        ["lower-bound", "--alphabet-size", "two", "--m", "2"],
+        _with(_BOUND, "--c", "0"),
+        _with(_BOUND, "--d", "0"),
+        _with(["ldgm-sample", *_LDGM], "--c", "-1"),
+        _with(["ldgm-sample", *_LDGM], "--d", "0"),
+        _with(_DESIGN, "--outer-rate", "x"),
+        _with(_DESIGN, "--outer-rate", "0"),
+        _with(_DESIGN, "--outer-rate", "-1/5"),
+        _with(_DESIGN, "--outer-rate", "1/0"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_out_of_range_options_rejected_by_argparse(capsys, argv):
+    assert _rejected_by_argparse(capsys, argv)
+
+
+def test_compose_rejects_a_perm_that_is_not_a_permutation(tmp_path, capsys):
+    outer = _write_matrix(tmp_path, "outer.txt", 2, ((1, 1),))
+    inner = _write_matrix(tmp_path, "inner.txt", 2, ((1,), (1,)))
+    perm = tmp_path / "perm.txt"
+    perm.write_text("0\n")
+    assert main(["compose", "--outer", outer, "--inner", inner, "--perm", str(perm)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"

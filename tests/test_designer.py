@@ -1,7 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codespectra.designer import (
     check_lower_bound,
@@ -13,14 +15,18 @@ from codespectra.designer import (
     single_code_lower_bound,
     wilson_interval,
 )
-from codespectra.errors import DimensionMismatch
+from codespectra.errors import DimensionMismatch, DomainError, SupportExplosion, TooLarge
 from codespectra.gf import field_make
+from codespectra.linalg import matmul
 from codespectra.spectra import (
+    PERM_LIMIT,
     CodeEnsemble,
     LinearCode,
+    all_vectors,
     compose_avg_conditional,
     conditional_spectrum,
     ensemble_avg_joint_spectrum,
+    randomize,
     single_code_ensemble,
 )
 
@@ -48,6 +54,121 @@ def test_compose_explicit_perm():
 def test_compose_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         compose(LinearCode(f2, ((1, 1),)), LinearCode(f2, ((1,),)))
+
+
+@pytest.mark.parametrize("perm", [(0,), (0, 0), (0, 2), (0, -1), (0, 1, 2)])
+def test_compose_rejects_a_perm_that_is_not_a_permutation(perm):
+    with pytest.raises(DomainError):
+        compose(LinearCode(f2, ((1, 0),)), LinearCode(f2, ((1,), (0,))), perm=perm)
+
+
+def test_compose_uniform_interleaver_is_capped_before_expansion():
+    mid = PERM_LIMIT + 1
+    with pytest.raises(TooLarge):
+        compose(LinearCode(f2, ((1,) * mid,)), LinearCode(f2, ((1,),) * mid), uniform=True)
+
+
+@pytest.mark.parametrize("mode,n,m", [("in", PERM_LIMIT + 1, 1), ("out", 1, PERM_LIMIT + 1)])
+def test_randomize_permutations_are_capped_before_expansion(mode, n, m):
+    E = single_code_ensemble(LinearCode(f2, ((1,) * m,) * n))
+    with pytest.raises(SupportExplosion):
+        randomize(E, mode)
+
+
+# Reference: the permutation-matrix products that randomize and compose
+# replace by reindexing rows and columns.
+
+
+def _perm_matrix(perm):
+    k = len(perm)
+    return tuple(tuple(1 if perm[i] == j else 0 for j in range(k)) for i in range(k))
+
+
+def _perm_matrices(k):
+    return [_perm_matrix(p) for p in itertools.permutations(range(k))]
+
+
+def _randomize_reference(E, mode):
+    field, n, m = E.field, E.n, E.m
+    in_perms = _perm_matrices(n) if mode in ("in", "both", "affine") else [None]
+    out_perms = _perm_matrices(m) if mode in ("out", "both", "affine") else [None]
+    offsets = list(all_vectors(field, m)) if mode == "affine" else [None]
+    scale = Fraction(1, len(in_perms) * len(out_perms) * len(offsets))
+    merged = {}
+    for code, p in E.support:
+        for pin in in_perms:
+            left = matmul(field, pin, code.generator) if pin is not None else code.generator
+            for pout in out_perms:
+                gen = matmul(field, left, pout) if pout is not None else left
+                for off in offsets:
+                    offset = code.offset
+                    if off is not None:
+                        base = offset or (0,) * m
+                        offset = tuple(field.add(a, b) for a, b in zip(base, off))
+                    variant = LinearCode(field, gen, offset)
+                    merged[variant] = merged.get(variant, 0) + p * scale
+    return list(merged.items())
+
+
+def _compose_reference(F, G, perms):
+    field = F.field
+    merged = {}
+    for fc, fp in F.support:
+        for sigma in perms:
+            left = matmul(field, fc.generator, _perm_matrix(sigma))
+            for gc, gp in G.support:
+                code = LinearCode(field, matmul(field, left, gc.generator))
+                merged[code] = merged.get(code, 0) + fp * gp * Fraction(1, len(perms))
+    return list(merged.items())
+
+
+def _support(result):
+    return [(result, 1)] if isinstance(result, LinearCode) else list(result.support)
+
+
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+def _matrix(draw, field, n, m):
+    entry = st.integers(0, field.q - 1)
+    return draw(st.lists(st.tuples(*[entry] * m), min_size=n, max_size=n).map(tuple))
+
+
+def _ensemble(draw, field, n, m, offsets=False):
+    """One to three members with random weights, optionally affine."""
+    k = draw(st.integers(1, 3))
+    codes = []
+    for _ in range(k):
+        offset = None
+        if offsets and draw(st.booleans()):
+            offset = _matrix(draw, field, 1, m)[0]
+        codes.append(LinearCode(field, _matrix(draw, field, n, m), offset))
+    weights = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    return CodeEnsemble(support=tuple((c, Fraction(w, sum(weights))) for c, w in zip(codes, weights)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_randomize_equals_permutation_matrix_products(data):
+    field = field_make(*data.draw(st.sampled_from(SMALL_FIELDS)))
+    mode = data.draw(st.sampled_from(["in", "out", "both", "affine"]))
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 2 if mode == "affine" else 3))
+    E = _ensemble(data.draw, field, n, m, offsets=True)
+    assert list(randomize(E, mode).support) == _randomize_reference(E, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compose_equals_permutation_matrix_products(data):
+    field = field_make(*data.draw(st.sampled_from(SMALL_FIELDS)))
+    n, mid, m = (data.draw(st.integers(1, 3)) for _ in range(3))
+    F = _ensemble(data.draw, field, n, mid)
+    G = _ensemble(data.draw, field, mid, m)
+    perm = data.draw(st.permutations(range(mid)))
+    assert _support(compose(F, G, perm=perm)) == _compose_reference(F, G, [tuple(perm)])
+    perms = list(itertools.permutations(range(mid)))
+    assert _support(compose(F, G, uniform=True)) == _compose_reference(F, G, perms)
 
 
 def test_compose_uniform_matches_conditional_law():
@@ -172,6 +293,30 @@ def test_equivalence_sampled_interval_covers_exact():
     res = equivalence_G2(code, exact=False, samples=2000, seed=2)
     lo, hi = res["interval95"]
     assert lo <= 3 / 8 <= hi
+
+
+f4 = field_make(2, 2)
+_G4 = single_code_ensemble(LinearCode(f4, ((1, 3), (2, 0))))
+
+
+@pytest.mark.parametrize(
+    "fn,F,samples,seed,hits",
+    [
+        (equivalence_G1, LinearCode(f2, ((1, 1, 0), (0, 1, 1))), 400, 11, 273),
+        (equivalence_G2, LinearCode(f2, ((1, 1, 0), (0, 1, 1))), 400, 12, 147),
+        (equivalence_G1, LinearCode(f3, ((1, 2), (0, 1), (2, 2))), 300, 13, 184),
+        (equivalence_G2, LinearCode(f3, ((1, 2), (0, 1), (2, 2))), 300, 14, 252),
+        (equivalence_G1, randomize(_G4, "both"), 300, 15, 216),
+        (equivalence_G2, randomize(_G4, "affine"), 300, 16, 204),
+    ],
+    ids=["G1-GF2", "G2-GF2", "G1-GF3", "G2-GF3", "G1-GF4-ensemble", "G2-GF4-ensemble"],
+)
+def test_equivalence_sampled_is_fixed_by_the_seed(fn, F, samples, seed, hits):
+    # hit counts recorded from the two separate G1/G2 bodies they replace
+    res = fn(F, exact=False, samples=samples, seed=seed)
+    assert res["probability"] == hits / samples
+    assert res["interval95"] == wilson_interval(hits, samples)
+    assert not res["exact"]
 
 
 def test_single_code_lower_bound_values():
