@@ -8,17 +8,29 @@ argparse rejects bad option values with exit code 2 as well.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import designer, ldgm, macwilliams, mrd, serialize
-from .errors import CodeSpectraError
+from .errors import CodeSpectraError, DimensionMismatch, DomainError
 from .gf import field_make
 from .spectra import LinearCode, TypeVector, set_spectrum
 
 
+def _finite(obj):
+    """JSON has no infinities: a non-finite float becomes its str, "inf" or "-inf"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _emit(args, obj):
-    text = obj if isinstance(obj, str) else json.dumps(obj, indent=2, default=str)
+    text = obj if isinstance(obj, str) else json.dumps(_finite(obj), indent=2, default=str)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -60,7 +72,7 @@ def _split_q(q):
             return p, r
         if q % p == 0:
             break
-    raise SystemExit(f"q = {q} is not a prime power")
+    raise DomainError(f"q = {q} is not a prime power")
 
 
 def cmd_gabidulin(args):
@@ -133,13 +145,13 @@ def cmd_compose(args):
     q, outer_rows = _read_matrix(args.outer)
     q2, inner_rows = _read_matrix(args.inner)
     if q != q2:
-        raise SystemExit("outer and inner matrices use different fields")
+        raise DimensionMismatch(f"outer matrix is over GF({q}), inner over GF({q2})")
     field = field_make(*_split_q(q))
     outer = LinearCode(field, outer_rows)
     inner = LinearCode(field, inner_rows)
     if args.perm:
         with open(args.perm) as fh:
-            perm = tuple(int(v) for v in fh.read().split())
+            perm = serialize._integers(fh.read().split())
     else:
         import random
 
@@ -221,7 +233,7 @@ def build_parser():
     p = sub.add_parser("gabidulin", help="build or verify a Gabidulin code")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit", action="store_true")
@@ -270,7 +282,7 @@ def build_parser():
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--matrix")
-    p.add_argument("--samples", type=int, default=0, help="0 means exact enumeration")
+    p.add_argument("--samples", type=_int_at_least(0), default=0, help="0 means exact enumeration")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_equivalence)

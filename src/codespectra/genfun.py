@@ -8,7 +8,7 @@ are Fractions or ints.
 
 from fractions import Fraction
 
-from .errors import DomainError, NotARefinement, NotStochastic
+from .errors import DomainError, NotARefinement
 from .spectra import set_spectrum
 
 
@@ -46,17 +46,6 @@ class GenPoly:
     @classmethod
     def variable(cls, var):
         return cls((var,), {(1,): 1})
-
-    @classmethod
-    def linear_form(cls, coeffs):
-        """Sum of coeff * var over a {var: coeff} mapping."""
-        vars = tuple(coeffs)
-        terms = {}
-        for i, v in enumerate(vars):
-            exp = [0] * len(vars)
-            exp[i] = 1
-            terms[tuple(exp)] = coeffs[v]
-        return cls(vars, terms)
 
     def _align(self, other):
         merged = sorted(set(self.vars) | set(other.vars), key=_var_key)
@@ -171,17 +160,6 @@ class GenPoly:
                 return Fraction(0)
         return self.terms.get(want, Fraction(0))
 
-    def evaluate(self, values):
-        return self.substitute({v: GenPoly.constant(values[v]) for v in self.vars}).terms.get(
-            (), Fraction(0)
-        )
-
-    def blocks(self):
-        return {v[0] for v in self.vars}
-
-    def block_vars(self, block):
-        return [v for v in self.vars if v[0] == block]
-
 
 # ---------------------------------------------------------------------------
 # spectrum generating functions
@@ -223,19 +201,6 @@ def genfun_from_uspectrum(uspec, prefix="u"):
     return GenPoly(vars, terms)
 
 
-def expect_rename(p, block, K):
-    """u_a -> sum_b K[a][b] u_b with K a row-stochastic kernel."""
-    for row in K:
-        if sum(row) != 1:
-            raise NotStochastic(f"kernel row {row} does not sum to 1")
-    mapping = {}
-    for (_, a) in p.block_vars(block):
-        mapping[(block, a)] = GenPoly.linear_form(
-            {(block, b): K[a][b] for b in range(len(K)) if K[a][b] != 0}
-        )
-    return p.substitute(mapping)
-
-
 def merge_refinement(p, coarse, fine, prefix="u"):
     """Identify fine-partition variable blocks lying in the same coarse block.
 
@@ -258,14 +223,3 @@ def merge_refinement(p, coarse, fine, prefix="u"):
             continue
         mapping[v] = GenPoly.variable(((prefix, target[fi]), a))
     return p.substitute(mapping)
-
-
-def multiplier_kernel(q):
-    """Kernel of the uniform random nonzero multiplier: fixes 0, spreads the
-    nonzero elements uniformly."""
-    K = [[Fraction(0)] * q for _ in range(q)]
-    K[0][0] = Fraction(1)
-    for a in range(1, q):
-        for b in range(1, q):
-            K[a][b] = Fraction(1, q - 1)
-    return K

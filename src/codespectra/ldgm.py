@@ -1,5 +1,6 @@
-"""Repetition/check/multiplier codes, the regular LDGM ensemble, its exact
-average spectra, and the analytic bound chain used for parameter design.
+"""The regular LDGM ensemble (repetition, nonzero multipliers, interleaver,
+checks), its exact average spectra, and the analytic bound chain used for
+parameter design.
 
 Spectra here are exact rationals; the bound functions (divergence, J,
 delta_qd and friends) are 64-bit floats with minus/plus infinity as
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, DomainError, SupportViolation, TooLarge
-from .genfun import GenPoly, expect_rename, multiplier_kernel
 from .spectra import (
     CodeEnsemble,
     LinearCode,
@@ -65,88 +65,61 @@ def stretch_type(P, c):
 
 
 # ---------------------------------------------------------------------------
-# generating functions of the building blocks
+# the randomized check code
 
 
-def rep_genfun(q, c):
-    """(1/q) sum_a u_a v_a^c, the single-symbol repetition code."""
-    out = GenPoly.constant(0)
-    for a in range(q):
-        out = out + GenPoly.variable(("u", a)) * GenPoly.variable(("v", a)) ** c * Fraction(1, q)
+def _poly_mul(a, b, top):
+    """Product of integer coefficient lists, dropping degrees above top."""
+    out = [0] * min(len(a) + len(b) - 1, top + 1)
+    for i, x in enumerate(a[: top + 1]):
+        if x:
+            for j, y in enumerate(b[: top + 1 - i]):
+                out[i + j] += x * y
     return out
 
 
-def rrep_genfun(q, c):
-    """Expected genfun of repetition followed by uniform nonzero multipliers."""
-    K = multiplier_kernel(q)
-    g = expect_rename(rep_genfun(q, c), "u", K)
-    return expect_rename(g, "v", K)
-
-
-def rep_joint_spectrum(q, c, n):
-    """Diagonal joint spectrum: mass S(F_q^n)(P) at (P, P-stretched-by-c)."""
-    from .gf import field_make
-    from .spectra import space_spectrum
-
-    field = field_make(q)
-    return {
-        (P, stretch_type(P, c)): mass for P, mass in space_spectrum(n, field).items()
-    }
-
-
-def _u_sum(q):
-    return GenPoly.linear_form({("u", a): Fraction(1) for a in range(q)})
-
-
-def _u_alt(q):
-    """(q u_0 - (u)_sum) / (q - 1)."""
-    coeffs = {("u", 0): Fraction(1)}
-    for a in range(1, q):
-        coeffs[("u", a)] = Fraction(-1, q - 1)
-    return GenPoly.linear_form(coeffs)
-
-
-def chk_single_avg_genfun(q, d):
-    """Expected genfun of one randomized check node of degree d."""
-    s = _u_sum(q)
-    t = _u_alt(q)
-    v_sum = GenPoly.linear_form({("v", a): Fraction(1) for a in range(q)})
-    v_alt = GenPoly.linear_form(
-        dict(
-            [(("v", 0), Fraction(q - 1))]
-            + [(("v", a), Fraction(-1)) for a in range(1, q)]
-        )
-    )
-    # v_alt is q v_0 - (v)_sum
-    return (s**d * v_sum + t**d * v_alt) * Fraction(1, q ** (d + 1))
-
-
-def chk_avg_genfun(q, d, n):
-    """n independent parallel check nodes; variables merged across copies."""
-    return chk_single_avg_genfun(q, d) ** n
-
-
-def g1(q, d, n, Q):
-    """Polynomial in u whose u^{dnP} coefficient is the expected check-code
-    spectrum at (P, Q)."""
-    s = _u_sum(q) ** d
-    t = _u_alt(q) ** d
-    nq0 = Q.counts[0]
-    poly = (s + t * (q - 1)) ** nq0 * (s - t) ** (n - nq0)
-    return poly * Fraction(type_class_size(Q), q ** (n * (d + 1)))
+def _poly_pow(a, k, top):
+    out = [1]
+    while k:
+        if k & 1:
+            out = _poly_mul(out, a, top)
+        k >>= 1
+        if k:
+            a = _poly_mul(a, a, top)
+    return out
 
 
 def chk_avg_spectrum(q, d, n, P, Q):
-    """Exact expected spectrum of the parallel randomized check code."""
+    """Exact expected spectrum of the parallel randomized check code.
+
+    Averaged over its multipliers, one check node of degree d has generating
+    function (s^d v_sum + t^d v_alt) / q^(d+1), where s = sum_a u_a,
+    t = u_0 - w/(q-1), w = u_1 + ... + u_{q-1} and v_alt = q v_0 - v_sum.
+    The v^(nQ) coefficient of n such nodes is |T_Q| times
+    (s^d + (q-1) t^d)^(nQ(0)) (s^d - t^d)^(n - nQ(0)), which depends on u_0
+    and w only.  At u_0 = z, w = 1, scaled by (q-1)^(dn), it is an integer
+    polynomial in z; its u^(nP) coefficient is the z^(P(0)) coefficient times
+    the multinomial of P's nonzero counts.
+    """
     if P.n != d * n or Q.n != n:
         raise DimensionMismatch(f"types of lengths {P.n}, {Q.n}; need {d * n}, {n}")
-    poly = g1(q, d, n, Q)
-    return Fraction(poly.coef({("u", a): P.counts[a] for a in range(q)}))
+    m, top, nq0 = q - 1, P.counts[0], Q.counts[0]
+    # s^d = (1+z)^d and t^d = (z - 1/(q-1))^d, both scaled by (q-1)^d
+    sd = [math.comb(d, k) * m**d for k in range(d + 1)]
+    td = [math.comb(d, k) * m**k * (-1) ** (d - k) for k in range(d + 1)]
+    poly = _poly_mul(
+        _poly_pow([s + m * t for s, t in zip(sd, td)], nq0, top),
+        _poly_pow([s - t for s, t in zip(sd, td)], n - nq0, top),
+        top,
+    )
+    num = poly[top] * type_class_size(TypeVector(P.counts[1:])) * type_class_size(Q)
+    return Fraction(num, m ** (d * n) * q ** (n * (d + 1)))
 
 
 def g2_bound(q, d, n, O, P, Q):
-    """Upper bound on the expected check spectrum from evaluating g1 at the
-    point O instead of extracting the coefficient."""
+    """Upper bound on the expected check spectrum: the polynomial in u whose
+    u^(nP) coefficient chk_avg_spectrum takes, evaluated at u = O and divided
+    by O^(nP)."""
     for a in range(q):
         if P.counts[a] > 0 and O.counts[a] == 0:
             raise SupportViolation(f"O gives zero mass to symbol {a} in P's support")

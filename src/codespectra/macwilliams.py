@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .genfun import GenPoly, genfun_from_joint
-from .gf import CycInt
 from .linalg import null_space, rref
 from .spectra import (
     ENUM_LIMIT,
@@ -85,8 +84,10 @@ def _mw_kernel(field, counts, divisor):
     counts maps concatenated per-block type counts (q entries per block) to
     integer multiplicities.  In every block each u_a becomes the linear form
     sum_x zeta^{Tr(x a)} u_x.  Values in Z[zeta_p] are p integer coefficients
-    on zeta^0..zeta^{p-1}; at the end each must be rational (CycInt.as_rational
-    raises otherwise) and is divided once by divisor.  Returns
+    on zeta^0..zeta^{p-1}.  At the end each must be rational: since
+    1 + zeta + ... + zeta^{p-1} = 0, that holds exactly when zeta^1..zeta^{p-1}
+    carry equal coefficients c, and the value is c_0 - c (ValueError
+    otherwise).  It is divided once by divisor.  Returns
     {concatenated output counts: Fraction}.
     """
     p, q = field.p, field.q
@@ -121,7 +122,12 @@ def _mw_kernel(field, counts, divisor):
                         for j, b in enumerate(w):
                             acc[(i + j) % p] += a * b
         state = nxt
-    return {y: Fraction(CycInt(p, c).as_rational(), divisor) for (y, _), c in state.items()}
+    out = {}
+    for (y, _), c in state.items():
+        if c[1:].count(c[-1]) != p - 1:
+            raise ValueError(f"not a rational cyclotomic value: {c}")
+        out[y] = Fraction(c[0] - c[-1], divisor)
+    return out
 
 
 def mw_transform(A, partition=None, limit=ENUM_LIMIT):

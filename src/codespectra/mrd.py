@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotSCCGood, TooLarge
+from .errors import DimensionMismatch, DomainError, NotSCCGood, TooLarge
 from .gf import field_make
 from .linalg import rank, transpose
 from .spectra import (
@@ -50,7 +50,7 @@ def gabidulin_make(q, n, m, k, points=None, basis=None):
     n_prime = max(n, m)
     m_prime = min(n, m)
     if not 1 <= k <= m_prime:
-        raise ValueError(f"need 1 <= k <= min(n, m), got k={k}")
+        raise DomainError(f"need 1 <= k <= min(n, m), got k={k}")
     ext = field_make(q, n_prime)
     if basis is None:
         basis = tuple(q**i for i in range(n_prime))

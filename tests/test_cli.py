@@ -175,12 +175,39 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_bad_q_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(
-            ["ldgm-bound", "--q", "6", "--c", "1", "--d", "2", "--n", "2",
-             "--p0", "0.5", "--q0", "0.5"]
-        )
+    argv = ["ldgm-bound", "--q", "6", "--c", "1", "--d", "2", "--n", "2", "--p0", "0.5", "--q0", "0.5"]
+    assert _json_error(capsys, argv) == "DomainError"
     assert _rejected_by_argparse(capsys, ["lower-bound", "--alphabet-size", "0", "--m", "2"])
+
+
+def _json_error(capsys, argv):
+    """Run a bad command line; return the error class named on stderr."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["gabidulin", "--q", "2", "--n", "2", "--m", "2", "--k", "3"], "DomainError"),
+        (["gabidulin", "--q", "2", "--n", "3", "--m", "2", "--k", "0"], "DomainError"),
+        (["verify-equivalence", "--mode", "g1", "--q", "6"], "DomainError"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_bad_values_are_json_errors(capsys, argv, error):
+    assert _json_error(capsys, argv) == error
+
+
+def test_ldgm_bound_writes_infinities_as_strings(capsys):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    argv = ["ldgm-bound", "--q", "2", "--c", "2", "--d", "1", "--n", "2", "--p0", "0", "--q0", "1"]
+    out = json.loads(_run(capsys, argv), parse_constant=reject)
+    assert out["delta_qd"] == out["J"] == out["alpha_bound"] == "-inf"
 
 
 @pytest.mark.parametrize(
@@ -289,6 +316,8 @@ def _with(argv, flag, value):
         _with(_DESIGN, "--outer-rate", "0"),
         _with(_DESIGN, "--outer-rate", "-1/5"),
         _with(_DESIGN, "--outer-rate", "1/0"),
+        ["gabidulin", "--q", "2", "--n", "2", "--m", "0", "--k", "1"],
+        ["verify-equivalence", "--mode", "g1", "--q", "2", "--n", "2", "--samples", "-5"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -300,8 +329,13 @@ def test_compose_rejects_a_perm_that_is_not_a_permutation(tmp_path, capsys):
     outer = _write_matrix(tmp_path, "outer.txt", 2, ((1, 1),))
     inner = _write_matrix(tmp_path, "inner.txt", 2, ((1,), (1,)))
     perm = tmp_path / "perm.txt"
-    perm.write_text("0\n")
-    assert main(["compose", "--outer", outer, "--inner", inner, "--perm", str(perm)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err)["error"] == "DomainError"
+    for text in ("0\n", "0 x\n"):
+        perm.write_text(text)
+        argv = ["compose", "--outer", outer, "--inner", inner, "--perm", str(perm)]
+        assert _json_error(capsys, argv) == "DomainError"
+
+
+def test_compose_rejects_matrices_over_different_fields(tmp_path, capsys):
+    outer = _write_matrix(tmp_path, "outer.txt", 2, ((1, 1),))
+    inner = _write_matrix(tmp_path, "inner.txt", 3, ((1,), (1,)))
+    assert _json_error(capsys, ["compose", "--outer", outer, "--inner", inner]) == "DimensionMismatch"

@@ -4,16 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from codespectra.errors import DomainError, NotARefinement, NotStochastic
+from codespectra.errors import DomainError, NotARefinement
 from codespectra.genfun import (
     GenPoly,
-    expect_rename,
     genfun_from_joint,
     genfun_from_spectrum,
     genfun_from_uspectrum,
     genfun_of_set,
     merge_refinement,
-    multiplier_kernel,
 )
 from codespectra.gf import field_make
 from codespectra.spectra import (
@@ -77,46 +75,9 @@ def test_coef():
 
 
 def test_evaluate_at_one_sums_to_one():
+    # a spectrum is a distribution: its coefficients sum to one
     for A in ([(0, 1), (1, 1), (0, 0)], [(2, 0), (1, 1)]):
-        field = f3
-        g = genfun_of_set(A, field)
-        ones = {v: 1 for v in g.vars}
-        assert g.evaluate(ones) == 1
-
-
-def test_expect_rename_identity_kernel():
-    K = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    g = genfun_of_set([(0, 1), (1, 1)], f2)
-    assert expect_rename(g, "u", K) == g
-    # q = 2 multiplier kernel is the identity
-    assert multiplier_kernel(2) == K
-
-
-def test_expect_rename_not_stochastic():
-    with pytest.raises(NotStochastic):
-        expect_rename(u0, "u", [[Fraction(1, 2), Fraction(1, 4)], [0, 1]])
-
-
-def test_expect_rename_multiplier_q3():
-    # single-symbol repetition genfun under the multiplier kernel
-    v0 = GenPoly.variable(("v", 0))
-    v1 = GenPoly.variable(("v", 1))
-    v2 = GenPoly.variable(("v", 2))
-    us = [GenPoly.variable(("u", a)) for a in range(3)]
-    rep = sum((us[a] * GenPoly.variable(("v", a)) ** 2 for a in range(3)), GenPoly.constant(0)) * Fraction(1, 3)
-    K = multiplier_kernel(3)
-    got = expect_rename(expect_rename(rep, "v", K), "u", K)
-    want = us[0] * v0**2 * Fraction(1, 3) + (us[1] + us[2]) * ((v1 + v2) * Fraction(1, 2)) ** 2 * Fraction(1, 3)
-    assert got == want
-
-
-def test_expect_rename_commutes_with_mul():
-    K = multiplier_kernel(3)
-    a = genfun_of_set([(0,), (1,)], f3)
-    b = genfun_of_set([(2,), (1,)], f3, block="v")
-    lhs = expect_rename(a * b, "u", K)
-    rhs = expect_rename(a, "u", K) * b
-    assert lhs == rhs
+        assert sum(genfun_of_set(A, f3).terms.values()) == 1
 
 
 def test_merge_refinement():

@@ -13,13 +13,10 @@ from codespectra.ldgm import (
     J,
     K_q,
     LdgmParams,
-    chk_avg_genfun,
     chk_avg_spectrum,
-    chk_single_avg_genfun,
     delta_qd,
     divergence,
     full_rank_probability,
-    g1,
     g2_bound,
     kq_product,
     kq_series,
@@ -29,11 +26,8 @@ from codespectra.ldgm import (
     ldgm_generator,
     ldgm_sample,
     lemma2_bound,
-    rep_genfun,
-    rep_joint_spectrum,
     rho0_and_dq,
     rho0_of,
-    rrep_genfun,
     stretch_type,
 )
 from codespectra.spectra import (
@@ -61,32 +55,94 @@ def _v(a):
     return GenPoly.variable(("v", a))
 
 
+def _sum(polys):
+    return sum(polys, GenPoly.constant(0))
+
+
+def _s_t(q):
+    """s = sum_a u_a and t = u_0 - (u_1 + ... + u_{q-1}) / (q-1)."""
+    s = _sum(_u(a) for a in range(q))
+    return s, _u(0) - _sum(_u(a) for a in range(1, q)) * Fraction(1, q - 1)
+
+
+def _chk_node_genfun(q, d):
+    """Expected genfun of one randomized check node of degree d, in the
+    paper's form (s^d v_sum + t^d v_alt) / q^(d+1), v_alt = q v_0 - v_sum."""
+    s, t = _s_t(q)
+    v_sum = _sum(_v(a) for a in range(q))
+    return (s**d * v_sum + t**d * (_v(0) * q - v_sum)) * Fraction(1, q ** (d + 1))
+
+
+def _g1(q, d, n, Q):
+    """The polynomial in u whose u^(nP) coefficient is the expected spectrum
+    of n parallel randomized checks at (P, Q)."""
+    s, t = _s_t(q)
+    s, t = s**d, t**d
+    nq0 = Q.counts[0]
+    poly = (s + t * (q - 1)) ** nq0 * (s - t) ** (n - nq0)
+    return poly * Fraction(type_class_size(Q), q ** (n * (d + 1)))
+
+
+def _exponent(block, T):
+    return {(block, a): T.counts[a] for a in range(T.q)}
+
+
+def _multiplier_average(field, gens):
+    """Average joint spectrum over the listed generators, equally weighted."""
+    from codespectra.spectra import LinearCode, code_joint_spectrum
+
+    acc = {}
+    for gen in gens:
+        for key, mass in code_joint_spectrum(LinearCode(field, gen)).items():
+            acc[key] = acc.get(key, 0) + Fraction(mass, len(gens))
+    return acc
+
+
 def test_rep_genfun_binary():
-    assert rep_genfun(2, 3) == (_u(0) * _v(0) ** 3 + _u(1) * _v(1) ** 3) * Fraction(1, 2)
+    from codespectra.genfun import genfun_from_joint
+    from codespectra.spectra import LinearCode, code_joint_spectrum
+
+    got = genfun_from_joint(code_joint_spectrum(LinearCode(f2, ((1, 1, 1),))))
+    assert got == (_u(0) * _v(0) ** 3 + _u(1) * _v(1) ** 3) * Fraction(1, 2)
 
 
 def test_rrep_genfun_binary_is_plain_rep():
     # q = 2 has a single nonzero multiplier, so randomization changes nothing
-    assert rrep_genfun(2, 4) == rep_genfun(2, 4)
+    from codespectra.spectra import LinearCode, code_joint_spectrum
+
+    rep = ((1, 1, 1, 1),)
+    assert _multiplier_average(f2, [rep]) == code_joint_spectrum(LinearCode(f2, rep))
 
 
 def test_rrep_genfun_q3_symmetrized():
-    g = rrep_genfun(3, 2)
-    # nonzero symbols become exchangeable
+    # uniform nonzero multipliers on the input and on both outputs of the
+    # single-symbol repetition code make the nonzero symbols exchangeable
+    from codespectra.genfun import genfun_from_joint
+
+    gens = [
+        ((f3.mul(f3.inv(a), b0), f3.mul(f3.inv(a), b1)),)
+        for a in (1, 2)
+        for b0 in (1, 2)
+        for b1 in (1, 2)
+    ]
     half = (_v(1) + _v(2)) * Fraction(1, 2)
     want = (_u(0) * _v(0) ** 2 + (_u(1) + _u(2)) * half**2) * Fraction(1, 3)
-    assert g == want
+    assert genfun_from_joint(_multiplier_average(f3, gens)) == want
 
 
 def test_rep_joint_spectrum_matches_brute_force():
+    # the repetition stage stretches every input type: the joint spectrum of
+    # the c-fold repetition code sits at (P, stretch_type(P, c)) with the
+    # mass of P in the whole space
     from codespectra.spectra import LinearCode, code_joint_spectrum
 
-    c, n = 3, 2
-    gen = tuple(
-        tuple(1 if c * i <= j < c * (i + 1) else 0 for j in range(c * n))
-        for i in range(n)
-    )
-    assert rep_joint_spectrum(2, c, n) == code_joint_spectrum(LinearCode(f2, gen))
+    for field, c, n in ((f2, 3, 2), (f3, 2, 2), (f4, 2, 1)):
+        gen = tuple(
+            tuple(1 if c * i <= j < c * (i + 1) else 0 for j in range(c * n))
+            for i in range(n)
+        )
+        want = {(P, stretch_type(P, c)): m for P, m in space_spectrum(n, field).items()}
+        assert code_joint_spectrum(LinearCode(field, gen)) == want
 
 
 def test_chk_avg_spectrum_binary_matches_enumeration():
@@ -137,24 +193,40 @@ def test_chk_avg_spectrum_parallel_copies():
 
 
 def test_chk_genfun_matches_spectrum():
-    q, d, n = 2, 3, 2
-    g = chk_avg_genfun(q, d, n)
-    for P in enumerate_types(d * n, f2):
-        for Q in enumerate_types(n, f2):
-            want = chk_avg_spectrum(q, d, n, P, Q)
-            got = g.coef(
-                {("u", a): P.counts[a] for a in range(q)}
-                | {("v", a): Q.counts[a] for a in range(q)}
-            )
-            assert got == want
+    # every (P, Q) coefficient of the n-th power of the single-node genfun
+    for field, d, n in ((f2, 3, 2), (f3, 2, 2), (f4, 1, 2), (f5, 2, 1)):
+        q = field.q
+        g = _chk_node_genfun(q, d) ** n
+        for P in enumerate_types(d * n, field):
+            for Q in enumerate_types(n, field):
+                want = g.coef(_exponent("u", P) | _exponent("v", Q))
+                assert chk_avg_spectrum(q, d, n, P, Q) == want, (q, d, n, P, Q)
+
+
+def _random_type(rng, n, q):
+    cuts = sorted(rng.randint(0, n) for _ in range(q - 1))
+    bounds = [0, *cuts, n]
+    return TypeVector(tuple(b - a for a, b in zip(bounds, bounds[1:])))
 
 
 def test_g1_coefficient_extraction():
-    q, d, n = 2, 2, 2
-    Q = TypeVector((1, 1))
-    poly = g1(q, d, n, Q)
-    P = TypeVector((2, 2))
-    assert poly.coef({("u", 0): 2, ("u", 1): 2}) == chk_avg_spectrum(q, d, n, P, Q)
+    # chk_avg_spectrum against the u^(nP) coefficient of g1 expanded in all q
+    # variables.  That expansion has C(dn+q-1, q-1) terms; shapes above 1000
+    # are skipped so the sweep stays near a second.
+    rng = random.Random(6)
+    seen = set()
+    for _ in range(120):
+        q, d, n = rng.choice((2, 3, 4, 5, 7)), rng.randint(1, 6), rng.randint(1, 3)
+        if math.comb(d * n + q - 1, q - 1) > 1000:
+            continue
+        seen.add((q, d))
+        P, Q = _random_type(rng, d * n, q), _random_type(rng, n, q)
+        got = chk_avg_spectrum(q, d, n, P, Q)
+        assert type(got) is Fraction
+        assert got == _g1(q, d, n, Q).coef(_exponent("u", P)), (q, d, n, P, Q)
+    assert {q for q, _ in seen} == {2, 3, 4, 5, 7}
+    assert {d for _, d in seen} == set(range(1, 7))
+    assert (4, 1) in seen
 
 
 def test_g2_bound_dominates_exact():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codespectra.genfun import GenPoly, genfun_of_set
 from codespectra.gf import field_make
@@ -32,6 +33,16 @@ f9 = field_make(3, 2)
 SMALL_FIELDS = [(f2, 6), (f3, 4), (f4, 3), (f5, 3), (f7, 3), (f8, 3), (f9, 3)]
 
 
+@st.composite
+def _subspaces(draw):
+    """A subspace of GF(q)^n, n up to its field's SMALL_FIELDS length, spanned
+    by up to n random rows."""
+    field, n_max = draw(st.sampled_from(SMALL_FIELDS))
+    n = draw(st.integers(1, n_max))
+    row = st.tuples(*[st.integers(0, field.q - 1)] * n)
+    return subspace_from_rows(field, draw(st.lists(row, max_size=n)), n)
+
+
 def test_orthogonal_examples():
     A = subspace_from_rows(f2, [(1, 1)])
     assert set(enumerate_subspace(orthogonal(A))) == {(0, 0), (1, 1)}
@@ -41,12 +52,13 @@ def test_orthogonal_examples():
     assert orthogonal(zero).dim == 2
 
 
-def test_orthogonal_dims():
-    rng = random.Random(3)
-    for _ in range(30):
-        n = rng.randint(1, 6)
-        A = random_subspace(f3, n, rng.randrange(10**6))
-        assert A.dim + orthogonal(A).dim == n
+@settings(max_examples=100, deadline=None)
+@given(A=_subspaces())
+def test_orthogonal_dims(A):
+    # |A| |A⊥| = q^n, counting the members of both
+    B = orthogonal(A)
+    assert A.dim + B.dim == A.n
+    assert len(enumerate_subspace(A)) * len(enumerate_subspace(B)) == A.field.q**A.n
 
 
 def test_orthogonality_actual():
@@ -115,13 +127,12 @@ def test_mw_transform_partitioned():
         assert mw_transform(A, partition=part) == want
 
 
-def test_mw_transform_bidual_roundtrip():
-    # a subspace is negation-closed, so transforming twice returns its genfun
-    for field, n in SMALL_FIELDS:
-        for seed in range(10):
-            A = random_subspace(field, n, seed)
-            dual = orthogonal(A)
-            assert mw_transform(dual) == genfun_of_set(enumerate_subspace(A), field)
+@settings(max_examples=100, deadline=None)
+@given(A=_subspaces())
+def test_mw_transform_bidual_roundtrip(A):
+    # the MacWilliams involution: a subspace is negation-closed, so
+    # transforming its dual returns its own genfun
+    assert mw_transform(orthogonal(A)) == genfun_of_set(enumerate_subspace(A), A.field)
 
 
 def test_mw_transforms_do_not_recurse_per_symbol():

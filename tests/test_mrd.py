@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from codespectra.errors import DimensionMismatch, NotSCCGood
+from codespectra.errors import DimensionMismatch, DomainError, NotSCCGood
 from codespectra.mrd import (
     enumerate_code,
     gabidulin_encode,
@@ -172,5 +172,5 @@ def test_custom_points_still_mrd():
 def test_dependent_points_rejected():
     with pytest.raises(ValueError):
         gabidulin_make(2, 3, 2, 1, points=(2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         gabidulin_make(2, 2, 2, 3)
