@@ -164,13 +164,14 @@ def cmd_compose(args):
 
 
 def cmd_verify_equivalence(args):
-    field = field_make(*_split_q(args.q))
     if args.matrix:
-        _, rows = _read_matrix(args.matrix)
-        code = LinearCode(field, rows)
+        q, rows = _read_matrix(args.matrix)
+        if args.q not in (None, q):
+            raise DimensionMismatch(f"matrix is over GF({q}), --q is {args.q}")
     else:
-        n = args.n
-        code = LinearCode(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        q = 2 if args.q is None else args.q
+        rows = tuple(tuple(1 if i == j else 0 for j in range(args.n)) for i in range(args.n))
+    code = LinearCode(field_make(*_split_q(q)), rows)
     fn = designer.equivalence_G1 if args.mode == "g1" else designer.equivalence_G2
     exact = args.samples == 0
     out = fn(code, exact=exact, samples=args.samples or 10**5, seed=args.seed)
@@ -279,7 +280,7 @@ def build_parser():
 
     p = sub.add_parser("verify-equivalence", help="kernel/image preservation probability")
     p.add_argument("--mode", choices=["g1", "g2"], required=True)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=int, help="default: the matrix file's q, else 2")
     p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--matrix")
     p.add_argument("--samples", type=_int_at_least(0), default=0, help="0 means exact enumeration")

@@ -25,6 +25,20 @@ def is_prime(n):
     return True
 
 
+def _prime_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic integers
 
@@ -218,7 +232,13 @@ def default_modulus(p, r):
 
 
 class FieldSpec:
-    """Immutable GF(p^r) with log/exp multiplication tables."""
+    """Immutable GF(p^r) with log/exp, Zech-logarithm, negation and trace tables.
+
+    Every operation is a table lookup.  With g = self.generator, a nonzero a
+    is g^log[a]; addition uses Zech's logarithm, 1 + g^k = g^zech[k], so
+    a + b = g^(log a + zech[log b - log a]) (Lidl & Niederreiter, Finite
+    Fields, 10.3).
+    """
 
     def __init__(self, p, r, modulus):
         self.p = p
@@ -229,42 +249,51 @@ class FieldSpec:
 
     def _build_tables(self):
         p, r, q = self.p, self.r, self.q
-        # digit <-> polynomial coefficient maps
-        self._digits = [self._to_digits(v) for v in range(q)]
-        # find a multiplicative generator, build log/exp tables
-        self._exp = [0] * (q - 1)
-        self._log = [0] * q
-        for g in range(1, q):
-            x = 1
-            seen = set()
-            order = 0
-            while True:
-                seen.add(x)
-                order += 1
-                x = self._mul_poly(x, g)
-                if x == 1:
-                    break
-            if order == q - 1:
-                x = 1
-                for i in range(q - 1):
-                    self._exp[i] = x
-                    self._log[x] = i
-                    x = self._mul_poly(x, g)
-                self.generator = g
-                break
-        else:
-            raise AssertionError("no generator found; not a field")
-        # verify the multiplicative structure really is a field
-        for a in range(1, q):
-            if self._exp[(q - 1 - self._log[a]) % (q - 1)] == 0:
-                raise ReducibleModulus("nonzero element without inverse")
-
-    def _to_digits(self, value):
-        digits = []
-        for _ in range(self.r):
-            digits.append(value % self.p)
-            value //= self.p
-        return tuple(digits)
+        # base-p digits of every element, lowest first: v = low + d * p^i
+        digits = [()]
+        for _ in range(r):
+            digits = [low + (d,) for d in range(p) for low in digits]
+        self._digits = digits
+        # the smallest element of order q - 1; 0 if there is none, which
+        # fails the check on the walk below
+        factors = _prime_factors(q - 1)
+        self.generator = g = next(
+            (g for g in range(1, q) if all(self._pow_poly(g, (q - 1) // f) != 1 for f in factors)),
+            0,
+        )
+        # v -> g v is GF(p)-linear: build it from the images of the basis powers
+        times_g = [(0,) * r]
+        for i in range(r):
+            row = digits[self._mul_poly(g, p**i)]
+            times_g = [
+                tuple([(a + d * b) % p for a, b in zip(low, row)]) for d in range(p) for low in times_g
+            ]
+        times_g = [self._from_digits(v) for v in times_g]
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(times_g[exp[-1]])
+        if times_g[exp[-1]] != 1 or len(set(exp)) != q - 1:
+            raise ReducibleModulus(f"{self.modulus} does not define a field")
+        self._log = log = [0] * q
+        for k, v in enumerate(exp):
+            log[v] = k
+        # Exponents up to 2(q - 2) index the doubled table; the zero tail
+        # holds the sums that vanish, which zech marks as 2(q - 1).
+        self._exp = exp + exp + [0] * (q - 1)
+        # adding 1 changes only the lowest base-p digit
+        one_plus = (v + 1 if v % p != p - 1 else v - (p - 1) for v in exp)
+        self._zech = [log[s] if s else 2 * (q - 1) for s in one_plus]
+        minus_one = log[p - 1]
+        self._neg = [0] + [self._exp[log[a] + minus_one] for a in range(1, q)]
+        # the trace is GF(p)-linear, so it follows from Tr(x^i), i < r
+        trace = [0]
+        for i in range(r):
+            acc, x = 0, p**i
+            for _ in range(r):
+                acc = self.add(acc, x)
+                x = self.pow(x, p)
+            trace = [(t + d * acc) % p for d in range(p) for t in trace]
+        self._trace = trace
 
     def _from_digits(self, digits):
         value = 0
@@ -278,6 +307,15 @@ class FieldSpec:
         )
         return self._from_digits(prod + (0,) * (self.r - len(prod)))
 
+    def _pow_poly(self, a, e):
+        acc = 1
+        while e:
+            if e & 1:
+                acc = self._mul_poly(acc, a)
+            a = self._mul_poly(a, a)
+            e >>= 1
+        return acc
+
     # -- public arithmetic ---------------------------------------------------
 
     @property
@@ -285,24 +323,27 @@ class FieldSpec:
         return range(self.q)
 
     def add(self, a, b):
-        da, db = self._digits[a], self._digits[b]
-        return self._from_digits(tuple((x + y) % self.p for x, y in zip(da, db)))
+        if a and b:
+            la = self._log[a]
+            # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
+            return self._exp[la + self._zech[self._log[b] - la]]
+        return a or b
 
     def neg(self, a):
-        return self._from_digits(tuple((-x) % self.p for x in self._digits[a]))
+        return self._neg[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.add(a, self._neg[b])
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a, e):
         if a == 0:
@@ -311,13 +352,7 @@ class FieldSpec:
 
     def trace(self, a):
         """Tr(a) = a + a^p + ... + a^{p^{r-1}}, an element of GF(p)."""
-        acc = 0
-        x = a
-        for _ in range(self.r):
-            acc = self.add(acc, x)
-            x = self.pow(x, self.p)
-        assert acc < self.p
-        return acc
+        return self._trace[a]
 
     def __eq__(self, other):
         return (

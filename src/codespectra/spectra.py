@@ -8,6 +8,7 @@ throughout, with explicit size limits.
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,26 +243,34 @@ def codewords(f, limit=ENUM_LIMIT):
     c' = (c + 1) mod q, so the output moves by the precomputed row (c' - c) A_i,
     the difference taken in the field.  Over a prime field c' - c is 1 and the
     row is A_i itself; over GF(p^r) it depends on how many base-p digits of c
-    carry.
+    carry.  Rows are added by XOR in characteristic 2, where addition is XOR
+    of the integer codes, by integer addition mod p over other prime fields,
+    and by field.add otherwise.
     """
     field, n = f.field, f.n
-    q = field.q
+    q, p = field.q, field.p
     if q**n > limit:
         raise TooLarge(f"q^n = {q**n} exceeds limit {limit}")
     if field.r == 1:
-        p = field.p
+        steps = [[row] * q for row in f.generator]
+    else:
+        deltas = [field.sub((c + 1) % q, c) for c in range(q)]
+        steps = [[tuple(field.mul(d, a) for a in row) for d in deltas] for row in f.generator]
+    if p == 2:
+
+        def add(y, row):
+            return tuple(map(operator.xor, y, row))
+
+    elif field.r == 1:
 
         def add(y, row):
             return tuple([(a + b) % p for a, b in zip(y, row)])
 
-        steps = [[row] * q for row in f.generator]
     else:
 
         def add(y, row):
             return tuple(map(field.add, y, row))
 
-        deltas = [field.sub((c + 1) % q, c) for c in range(q)]
-        steps = [[tuple(field.mul(d, a) for a in row) for d in deltas] for row in f.generator]
     x = [0] * n
     y = tuple(f.offset or (0,) * f.m)
     yield tuple(x), y
@@ -372,7 +381,8 @@ def rho(E):
         val = (math.log(a.numerator) - math.log(a.denominator)) / n
         if best is None or val > best:
             best = val
-    assert best is not None, "no nonzero alpha at any nonzero input type"
+    if best is None:
+        raise ZeroMarginal("no nonzero alpha at any nonzero input type")
     return best
 
 
@@ -479,12 +489,16 @@ def randomize(E, mode):
 
 
 def point_distribution(E, x):
-    """Exact distribution of F(x) over the explicit support."""
-    out = {}
-    for code, p in E.support:
-        y = code.apply(x)
-        out[y] = out.get(y, 0) + p
-    return out
+    """Exact distribution of F(x) over the explicit support.
+
+    Member weights are the integers p·D, D the lcm of the support's
+    denominators; each output gets one Fraction, in first-seen order.
+    """
+    scale, weights = _integer_weights(E.support)
+    counts = Counter()
+    for (code, _), w in zip(E.support, weights):
+        counts[code.apply(x)] += w
+    return {y: Fraction(c, scale) for y, c in counts.items()}
 
 
 def rates(obj):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codespectra.cli import main
+from codespectra.designer import equivalence_G1
 from codespectra.errors import DimensionMismatch, DomainError
 from codespectra.genfun import genfun_from_joint, genfun_from_uspectrum, genfun_of_set
 from codespectra.gf import field_make
@@ -157,6 +158,17 @@ def test_verify_equivalence_sampled(capsys):
     assert not out["exact"]
     lo, hi = out["interval95"]
     assert lo <= 3 / 8 <= hi
+
+
+def test_verify_equivalence_reads_the_field_from_the_matrix_file(tmp_path, capsys):
+    path = tmp_path / "g5.txt"
+    path.write_text("5 1 2\n4 3\n")
+    want = equivalence_G1(LinearCode(field_make(5), ((4, 3),)), exact=True)["probability"]
+    for q in ([], ["--q", "5"]):
+        argv = ["verify-equivalence", "--mode", "g1", "--matrix", str(path)] + q
+        assert json.loads(_run(capsys, argv))["probability"] == str(want)
+    argv = ["verify-equivalence", "--mode", "g1", "--matrix", str(path), "--q", "2"]
+    assert _json_error(capsys, argv) == "DimensionMismatch"
 
 
 def test_lower_bound(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from codespectra.errors import FieldTooLarge, NonPrimeP, ReducibleModulus
-from codespectra.gf import CycInt, chi, field_make, mw_matrix
+from codespectra.gf import CycInt, FieldSpec, chi, field_make, mw_matrix
 
 
 def test_gf2_tables():
@@ -35,6 +35,8 @@ def test_field_make_errors():
         field_make(4)
     with pytest.raises(ReducibleModulus):
         field_make(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
+    with pytest.raises(ReducibleModulus):
+        FieldSpec(2, 2, (1, 0, 1))  # no irreducibility check before the tables
     with pytest.raises(FieldTooLarge):
         field_make(2, 17)
 
@@ -56,7 +58,69 @@ def test_field_axioms_exhaustive(p, r):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (2, 4)])
+# Every field with q <= 256 among these is checked exhaustively against a
+# digit-wise reference that uses none of the field's tables.
+_SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+
+def _ref_digits(f, a):
+    return [(a // f.p**i) % f.p for i in range(f.r)]
+
+
+def _ref_value(f, digits):
+    return sum(d * f.p**i for i, d in enumerate(digits))
+
+
+def _ref_add(f, a, b):
+    return _ref_value(f, [(x + y) % f.p for x, y in zip(_ref_digits(f, a), _ref_digits(f, b))])
+
+
+def _ref_neg(f, a):
+    return _ref_value(f, [-x % f.p for x in _ref_digits(f, a)])
+
+
+def _ref_mul(f, a, b):
+    """Schoolbook product of the digit polynomials, reduced by the modulus."""
+    p, r, m = f.p, f.r, f.modulus
+    prod = [0] * (2 * r - 1)
+    for i, x in enumerate(_ref_digits(f, a)):
+        for j, y in enumerate(_ref_digits(f, b)):
+            prod[i + j] += x * y
+    lead_inv = pow(m[r], -1, p)
+    for k in range(2 * r - 2, r - 1, -1):
+        c = prod[k] * lead_inv % p
+        for i in range(r + 1):
+            prod[k - r + i] -= c * m[i]
+    return _ref_value(f, [c % p for c in prod[:r]])
+
+
+def _ref_trace(f, a):
+    acc, x = 0, a
+    for _ in range(f.r):
+        acc = _ref_add(f, acc, x)
+        y = 1
+        for _ in range(f.p):
+            y = _ref_mul(f, y, x)
+        x = y
+    return acc
+
+
+@pytest.mark.parametrize(
+    "p,r,modulus", [(p, r, None) for p, r in _SMALL_FIELDS] + [(2, 2, (1, 1, 1))]
+)
+def test_table_arithmetic_matches_digitwise_reference(p, r, modulus):
+    f = field_make(p, r, modulus)
+    els = range(f.q)
+    for a in els:
+        assert f.neg(a) == _ref_neg(f, a)
+        assert f.trace(a) == _ref_trace(f, a)
+        for b in els:
+            assert f.add(a, b) == _ref_add(f, a, b)
+            assert f.sub(a, b) == _ref_add(f, a, _ref_neg(f, b))
+            assert f.mul(a, b) == _ref_mul(f, a, b)
+
+
+@pytest.mark.parametrize("p,r", _SMALL_FIELDS)
 def test_trace_additive_and_surjective(p, r):
     f = field_make(p, r)
     traces = set()

@@ -9,7 +9,7 @@ from codespectra.designer import outer_weight_window
 from codespectra.errors import EmptySequence, EmptySet, NotStochastic, TooLarge, ZeroMarginal
 from codespectra.gf import field_make
 from codespectra.macwilliams import Subspace, enumerate_subspace, subspace_from_rows
-from codespectra.mrd import kernel_stats
+from codespectra.mrd import gabidulin_ensemble, gabidulin_make, kernel_stats
 from codespectra.spectra import (
     CodeEnsemble,
     LinearCode,
@@ -259,6 +259,36 @@ def test_randomize_affine_uniform():
         assert all(v == Fraction(1, 4) for v in pd.values()) and len(pd) == 4
 
 
+def _point_distribution_by_fraction_sum(E, x):
+    out = {}
+    for code, p in E.support:
+        y = code.apply(x)
+        out[y] = out.get(y, 0) + p
+    return out
+
+
+def test_point_distribution_equals_fraction_sum():
+    mixed = CodeEnsemble(
+        support=(
+            (LinearCode(f3, ((1, 2), (0, 1))), Fraction(1, 2)),
+            (LinearCode(f3, ((2, 0), (1, 1))), Fraction(1, 3)),
+            (LinearCode(f3, ((1, 2), (0, 1)), (1, 0)), Fraction(1, 6)),
+        )
+    )
+    ensembles = [
+        single_code_ensemble(LinearCode(f3, ((1, 2), (2, 2)))),
+        mixed,
+        randomize(mixed, "affine"),
+        gabidulin_ensemble(gabidulin_make(2, 3, 3, 2)),
+    ]
+    for E in ensembles:
+        for x in all_vectors(E.field, E.n):
+            got = point_distribution(E, x)
+            want = _point_distribution_by_fraction_sum(E, x)
+            assert list(got.items()) == list(want.items())
+            assert all(type(v) is Fraction for v in got.values())
+
+
 def test_randomize_in_expands_permutations():
     E = single_code_ensemble(LinearCode(f2, ((1, 1), (0, 1))))
     Ei = randomize(E, "in")
@@ -290,9 +320,12 @@ def test_spectrum_serialization_roundtrip():
     assert spectrum_from_json(obj) == s
 
 
-@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize(
+    "p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (3, 3)]
+)
 def test_codewords_match_apply(p, r):
-    # GF(4), GF(8) and GF(9) step by ((c + 1) - c) A_i, which is not A_i there
+    # GF(4), GF(8), GF(9), GF(16) and GF(27) step by ((c + 1) - c) A_i, which is
+    # not A_i there; characteristic 2 adds rows by XOR
     field = field_make(p, r)
     q = field.q
     rng = random.Random(q)
