@@ -196,16 +196,67 @@ def lemma2_bound(q, d, x, y):
     return -INF if arg == 0 else math.log(arg)
 
 
+def _block_floor(q, d, x, y, u, v):
+    """Lower bound on d D(x||xh) + J(q,d,xh,y) over 0 < u <= xh <= v < 1,
+    less a margin for float error; -inf where no bound is certain.
+
+    Each term is monotone or convex on [u, v]: D(x||xh) is at least 0, or
+    its value at the end nearer x when x lies outside [u, v]; t = s^d with
+    s = (q xh - 1)/(q - 1) lies between its end values, or down to 0 when d
+    is even and s changes sign; y ln(1 + (q-1)t) is least at the least t and
+    (1-y) ln(1 - t) at the greatest.  The margin is 1e-9 (1 + sum of the
+    terms' magnitudes).  A bound that is not finite, or a non-positive log
+    argument, gives -inf.
+    """
+    log = math.log
+    x1, y1, qm1 = 1 - x, 1 - y, q - 1
+    terms = []
+    if not u <= x <= v:
+        e = u if x < u else v
+        if x != 0:
+            terms.append(d * (x * log(x / e)))
+        if x1 != 0:
+            terms.append(d * (x1 * log(x1 / (1 - e))))
+    su, sv = (q * u - 1) / qm1, (q * v - 1) / qm1
+    tu, tv = su**d, sv**d
+    t_lo = 0.0 if d % 2 == 0 and su <= 0 <= sv else min(tu, tv)
+    for w, a in ((y, 1 + qm1 * t_lo), (y1, 1 - max(tu, tv))):
+        if w != 0:
+            if not a > 0:
+                return -INF
+            terms.append(w * log(a))
+    bound = math.fsum(terms)
+    if not math.isfinite(bound):
+        return -INF
+    return bound - 1e-9 * (1 + math.fsum(map(abs, terms)))
+
+
 def delta_qd(q, d, x, y, tol=1e-9, grid=10**4):
     """inf over xh in (0,1) of d D(x||xh) + J(q,d,xh,y), numerically.
 
-    Grid scan plus golden-section refinement around the best cell; the
-    boundary value J(q,d,x,y) (the xh -> x limit) caps the result, so the
-    return value never exceeds J + tol.  x and y are checked once; the
-    objective is divergence and J inlined with the same float operations in
-    the same order (J's clamp included), so the result is bit-identical to
-    evaluating d * divergence(x, xh) + J(q, d, xh, y) at every point.
+    Grid scan over the cells i/grid, 0 < i < grid, plus golden-section
+    refinement around the first best cell; the boundary value J(q,d,x,y)
+    (the xh -> x limit) caps the result, so the return value never exceeds
+    J + tol.  x and y are checked once; the objective is divergence and J
+    inlined with the same float operations in the same order (J's clamp
+    included), so the result is bit-identical to evaluating
+    d * divergence(x, xh) + J(q, d, xh, y) at every point.
+
+    The scan skips blocks of isqrt(grid) consecutive cells that cannot hold
+    the minimum: those whose _block_floor exceeds the least objective value
+    at the blocks' first cells.  Every cell that could tie the minimum is
+    still scanned in order, so the first best cell, and the result, are
+    those of the full scan.
+
+    Where the infimum is -inf at xh -> 0 or xh -> 1, the result is still a
+    finite upper bound on it, and that bound depends on grid.
+
+    The refinement stops once its bracket is tol wide or stops shrinking in
+    floating point.  grid must be a positive int; grid=1 scans nothing and
+    returns J(q, d, x, y).
     """
+    if not isinstance(grid, int) or grid < 1:
+        raise DomainError(f"grid must be a positive integer, got {grid!r}")
     if not (0 <= x <= 1 and 0 <= y <= 1):
         # the first evaluation that would have failed names the check
         name = "divergence" if grid > 1 and not 0 <= x <= 1 else "J"
@@ -230,11 +281,17 @@ def delta_qd(q, d, x, y, tol=1e-9, grid=10**4):
             j += y1 * log(a) if a > 0 else _wlog(y1, a)
         return d * div + j
 
+    size = math.isqrt(grid)
+    blocks = [(lo, min(lo + size, grid)) for lo in range(1, grid, size)]
+    seed = min((f(lo / grid) for lo, _ in blocks), default=INF)
     best_i, best_v = None, INF
-    for i in range(1, grid):
-        v = f(i / grid)
-        if v < best_v:
-            best_i, best_v = i, v
+    for lo, end in blocks:
+        if _block_floor(q, d, x, y, lo / grid, (end - 1) / grid) > seed:
+            continue
+        for i in range(lo, end):
+            v = f(i / grid)
+            if v < best_v:
+                best_i, best_v = i, v
     if best_i is not None:
         lo = max(1e-15, (best_i - 1) / grid)
         hi = min(1 - 1e-15, (best_i + 1) / grid)
@@ -244,11 +301,16 @@ def delta_qd(q, d, x, y, tol=1e-9, grid=10**4):
         c2 = a + phi * (b - a)
         f1, f2 = f(c1), f(c2)
         while b - a > tol:
+            # a bracket a few floats wide can stop shrinking before tol
             if f1 <= f2:
+                if not c2 < b:
+                    break
                 b, c2, f2 = c2, c1, f1
                 c1 = b - phi * (b - a)
                 f1 = f(c1)
             else:
+                if not a < c1:
+                    break
                 a, c1, f1 = c1, c2, f2
                 c2 = a + phi * (b - a)
                 f2 = f(c2)

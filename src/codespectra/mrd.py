@@ -8,12 +8,12 @@ every worked case and test uses q in {2, 3}.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionMismatch, DomainError, NotSCCGood, TooLarge
 from .gf import field_make
-from .linalg import rank, transpose
+from .linalg import inverse, matvec, rank, transpose
 from .spectra import (
     CodeEnsemble,
     ENUM_LIMIT,
@@ -40,6 +40,8 @@ class GabidulinSpec:
     points: tuple
     basis: tuple
     transposed: bool
+    # element index -> coefficient vector over basis
+    coords: tuple = field(repr=False, compare=False)
 
 
 def gabidulin_make(q, n, m, k, points=None, basis=None):
@@ -52,14 +54,16 @@ def gabidulin_make(q, n, m, k, points=None, basis=None):
     if not 1 <= k <= m_prime:
         raise DomainError(f"need 1 <= k <= min(n, m), got k={k}")
     ext = field_make(q, n_prime)
-    if basis is None:
-        basis = tuple(q**i for i in range(n_prime))
-    else:
-        basis = tuple(basis)
-    # coordinate map: element index -> coefficient vector over the basis
+    polynomial_basis = tuple(q**i for i in range(n_prime))
+    basis = polynomial_basis if basis is None else tuple(basis)
     coord_rows = [ext._digits[b] for b in basis]
     if rank(base, coord_rows) != n_prime:
         raise ValueError("basis elements are not linearly independent over GF(q)")
+    if basis == polynomial_basis:
+        coords = tuple(ext._digits)
+    else:
+        to_basis = inverse(base, coord_rows)
+        coords = tuple(matvec(base, digits, to_basis) for digits in ext._digits)
     if points is None:
         points = basis[:m_prime]
     else:
@@ -68,25 +72,7 @@ def gabidulin_make(q, n, m, k, points=None, basis=None):
         raise ValueError("evaluation points are not linearly independent over GF(q)")
     if len(points) != m_prime:
         raise ValueError(f"need {m_prime} evaluation points")
-    spec = GabidulinSpec(base, ext, n, m, k, points, basis, transposed=(m > n))
-    return spec
-
-
-def _coords_of(spec, value):
-    """Coefficient vector of an extension element over spec.basis.
-
-    With the default polynomial basis this is just the base-q digit vector;
-    a custom basis goes through the inverse change-of-basis matrix.
-    """
-    ext = spec.ext
-    digits = ext._digits[value]
-    default = tuple(spec.base.q**i for i in range(len(spec.basis)))
-    if spec.basis == default:
-        return digits
-    from .linalg import inverse, matvec
-
-    B = tuple(tuple(ext._digits[b]) for b in spec.basis)
-    return matvec(spec.base, digits, inverse(spec.base, B))
+    return GabidulinSpec(base, ext, n, m, k, points, basis, transposed=m > n, coords=coords)
 
 
 def gabidulin_encode(spec, message):
@@ -103,7 +89,7 @@ def gabidulin_encode(spec, message):
         for mi in message:
             acc = ext.add(acc, ext.mul(mi, frob))
             frob = ext.pow(frob, q)
-        cols.append(_coords_of(spec, acc))
+        cols.append(spec.coords[acc])
     # cols: m' columns of length n'; rows of the matrix are the basis coords
     mat = tuple(tuple(col[i] for col in cols) for i in range(len(spec.basis)))
     if spec.transposed:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from codespectra.ldgm import (
     J,
     K_q,
     LdgmParams,
+    _block_floor,
     chk_avg_spectrum,
     delta_qd,
     divergence,
@@ -445,6 +447,82 @@ def test_delta_qd_is_bit_identical_to_public_objective():
     # the default grid as well, at a few points
     for q, d, x, y in ((2, 4, 0.3, 0.6), (3, 2, 0.05, 0.9), (2, 35, 0.5, 0.02)):
         assert repr(delta_qd(q, d, x, y)) == repr(_delta_qd_reference(q, d, x, y, grid=10**4))
+
+
+def _blocks(grid):
+    """delta_qd's partition of the cells 1..grid-1: (first, last) per block."""
+    size = math.isqrt(grid)
+    return [(lo, min(lo + size, grid) - 1) for lo in range(1, grid, size)]
+
+
+def test_block_floor_never_exceeds_the_objective():
+    rng = random.Random(17)
+    cases = []
+    for _ in range(300):
+        q = rng.choice((2, 3, 4, 5, 7))
+        if rng.random() < 0.5:
+            grid = rng.choice((2, 3, 7, 20, 21, 65, 200))
+        else:
+            grid = q * rng.randint(1, 25)
+        cases.append((q, rng.randint(1, 12), rng.random(), rng.random(), grid))
+    # d even and qy > 1: the objective dips towards 1/q inside its block,
+    # with x in that block too (t and D both reach their least inside it)
+    for _ in range(300):
+        q = rng.choice((2, 3, 4, 5, 7))
+        grid = q * rng.randint(2, 25)
+        lo, hi = next(b for b in _blocks(grid) if b[0] <= grid // q <= b[1])
+        x = rng.uniform(lo, hi) / grid
+        cases.append((q, 2 * rng.randint(1, 6), x, rng.uniform(1 / q, 1), grid))
+    cases += [(3, 1, 0.60, 0.03, 65), (2, 4, 1 / 8, 1 / 4, 200)]
+    cases += [(2, 35, 0, 1, 65), (5, 3, 1, 0, 21)]
+    for q, d, x, y, grid in cases:
+        for lo, hi in _blocks(grid):
+            floor = _block_floor(q, d, x, y, lo / grid, hi / grid)
+            for i in range(lo, hi + 1):
+                xh = i / grid
+                value = d * divergence(x, xh) + J(q, d, xh, y)
+                assert floor <= value, (q, d, x, y, grid, lo, hi, i)
+
+
+def test_delta_qd_block_skip_is_bit_identical_to_full_scan():
+    rng = random.Random(23)
+    shapes = [(2, 3), (2, 4), (2, 6), (2, 8), (2, 35), (3, 2), (3, 4)]
+    default_grid = [(3, 1, 0.60, 0.03), (2, 4, 1 / 8, 1 / 4), (2, 4, 0, 1), (3, 2, 1, 0)]
+    for q, d in shapes:
+        default_grid += [(q, d, rng.random(), rng.random()) for _ in range(2)]
+    for q, d, x, y in default_grid:
+        got = delta_qd(q, d, x, y)
+        assert repr(got) == repr(_delta_qd_reference(q, d, x, y, grid=10**4)), (q, d, x, y)
+    # grids that are not multiples of the block size
+    edges = [(x, y) for x in (0, 1) for y in (0, 1)] + [(0.60, 0.03), (1 / 8, 1 / 4)]
+    for q, d in shapes + [(3, 1), (5, 2), (7, 3)]:
+        for x, y in edges + [(rng.random(), rng.random()) for _ in range(3)]:
+            for grid in (7, 65, 199):
+                want = _delta_qd_reference(q, d, x, y, grid=grid)
+                assert repr(delta_qd(q, d, x, y, grid=grid)) == repr(want), (q, d, x, y, grid)
+
+
+@pytest.mark.parametrize("tol", [1e-300, 0.0, -1.0])
+def test_delta_qd_returns_when_tol_is_below_float_spacing(tol):
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(delta_qd(2, 4, 0.3, 0.6, tol=tol)), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert result[0] <= delta_qd(2, 4, 0.3, 0.6) <= J(2, 4, 0.3, 0.6)
+
+
+@pytest.mark.parametrize("grid", [2.5, 0, -3, "10", None])
+def test_delta_qd_rejects_a_grid_that_is_not_a_positive_integer(grid):
+    with pytest.raises(DomainError):
+        delta_qd(2, 3, 0.3, 0.6, grid=grid)
+
+
+def test_delta_qd_with_one_cell_is_J():
+    for q, d, x, y in ((2, 3, 0.3, 0.6), (3, 2, 0.05, 0.9), (2, 4, 0, 1)):
+        assert repr(delta_qd(q, d, x, y, grid=1)) == repr(J(q, d, x, y))
 
 
 @pytest.mark.parametrize(

@@ -174,3 +174,33 @@ def test_dependent_points_rejected():
         gabidulin_make(2, 3, 2, 1, points=(2, 2))
     with pytest.raises(DomainError):
         gabidulin_make(2, 2, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "q,n,m,k,basis",
+    [(2, 4, 4, 2, (1, 2, 4, 9)), (2, 3, 4, 2, (3, 2, 12, 8)), (3, 2, 2, 1, (2, 5))],
+)
+def test_custom_basis_is_a_change_of_coordinates(q, n, m, k, basis):
+    n_prime, m_prime = max(n, m), min(n, m)
+    points = tuple(q**i for i in range(m_prime))
+    plain = enumerate_code(gabidulin_make(q, n, m, k, points=points))
+    spec = gabidulin_make(q, n, m, k, points=points, basis=basis)
+    custom = enumerate_code(spec)
+    # the base-q digits of each basis element, lowest first
+    rows = [[b // q**j % q for j in range(n_prime)] for b in basis]
+
+    def columns(cw):
+        # one coordinate vector per evaluation point
+        mat = cw.entries if m > n else tuple(zip(*cw.entries))
+        return [tuple(col) for col in mat]
+
+    assert len(plain) == len(custom) == q ** (k * n_prime)
+    for a, b in zip(plain, custom):
+        for digits, coords in zip(columns(a), columns(b)):
+            expanded = tuple(
+                sum(c * row[j] for c, row in zip(coords, rows)) % q for j in range(n_prime)
+            )
+            assert expanded == digits
+        assert a.rank == b.rank
+    rep = verify_mrd(spec)
+    assert rep["size_ok"] and rep["mrd_ok"]
