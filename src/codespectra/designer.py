@@ -15,8 +15,9 @@ from .spectra import (
     LinearCode,
     PERM_LIMIT,
     all_vectors,
+    _graph,
+    _span_types,
     alpha_table,
-    codewords,
     single_code_ensemble,
 )
 
@@ -62,7 +63,8 @@ def outer_weight_window(f, limit=ENUM_LIMIT):
     """Range of the zero-symbol fraction P(0) over nonzero codewords of f,
     reported as the tightest window around 1/q."""
     q = f.field.q
-    p0s = {Fraction(y.count(0), f.m) for x, y in codewords(f, limit) if any(x) and any(y)}
+    pairs = _span_types(f.field, *_graph(f), limit)
+    p0s = {Q.prob(0) for (P, Q), _ in pairs if not (P.is_zero_type() or Q.is_zero_type())}
     if not p0s:
         raise DomainError("code has no nonzero codewords")
     p0_min, p0_max = min(p0s), max(p0s)

@@ -9,20 +9,13 @@ non-rational residue is a bug and raises, it is never rounded away.
 """
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import TooLarge
 from .genfun import GenPoly, genfun_from_joint
 from .linalg import null_space, rref
-from .spectra import (
-    ENUM_LIMIT,
-    LinearCode,
-    code_joint_spectrum,
-    codewords,
-    partition_make,
-    type_of,
-)
+from .spectra import ENUM_LIMIT, LinearCode, _graph, _span_types, code_joint_spectrum, partition_make
 
 
 @dataclass(frozen=True)
@@ -57,14 +50,15 @@ def random_subspace(field, n, seed):
     return subspace_from_rows(field, rows, n)
 
 
-def _members(A, limit):
-    if A.dim == 0:
-        return [(0,) * A.n]
-    return (y for _, y in codewords(LinearCode(A.field, A.basis), limit))
-
-
 def enumerate_subspace(A, limit=ENUM_LIMIT):
-    return list(_members(A, limit))
+    """Members sum_i x_i basis_i of A, in all_vectors order of x."""
+    if A.size > limit:
+        raise TooLarge(f"|A| = {A.size} exceeds limit {limit}")
+    members = [(0,) * A.n]
+    for row in A.basis:
+        multiples = [tuple(A.field.mul(c, a) for a in row) for c in A.field.elements]
+        members = [tuple(map(A.field.add, v, m)) for v in members for m in multiples]
+    return members
 
 
 def orthogonal(A):
@@ -145,10 +139,8 @@ def mw_transform(A, partition=None, limit=ENUM_LIMIT):
     else:
         blocks = partition_make(partition, A.n)
         vars = tuple((("u", b), a) for b in range(len(blocks)) for a in range(q))
-    counts = Counter(
-        tuple(c for block in blocks for c in type_of([y[i] for i in block], field).counts)
-        for y in _members(A, limit)
-    )
+    types = _span_types(field, A.basis, None, blocks, limit)
+    counts = {sum((P.counts for P in key), ()): c for key, c in types}
     return GenPoly(vars, _mw_kernel(field, counts, q**A.n))
 
 
@@ -161,9 +153,7 @@ def mw_joint_transpose(field, A, limit=ENUM_LIMIT):
     """
     q = field.q
     f = LinearCode(field, tuple(tuple(r) for r in A))
-    counts = Counter(
-        type_of(x, field).counts + type_of(y, field).counts for x, y in codewords(f, limit)
-    )
+    counts = {P.counts + Q.counts: c for (P, Q), c in _span_types(field, *_graph(f), limit)}
     vars = tuple(("u", a) for a in range(q)) + tuple(("v", a) for a in range(q))
     return GenPoly(vars, _mw_kernel(field, counts, q ** (f.n + f.m)))
 

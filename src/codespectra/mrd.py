@@ -19,7 +19,6 @@ from .spectra import (
     ENUM_LIMIT,
     LinearCode,
     all_vectors,
-    codewords,
     point_distribution,
 )
 
@@ -56,6 +55,8 @@ def gabidulin_make(q, n, m, k, points=None, basis=None):
     ext = field_make(q, n_prime)
     polynomial_basis = tuple(q**i for i in range(n_prime))
     basis = polynomial_basis if basis is None else tuple(basis)
+    if len(basis) != n_prime:
+        raise ValueError(f"need {n_prime} basis elements, got {len(basis)}")
     coord_rows = [ext._digits[b] for b in basis]
     if rank(base, coord_rows) != n_prime:
         raise ValueError("basis elements are not linearly independent over GF(q)")
@@ -198,13 +199,13 @@ def verify_scc(E, limit=ENUM_LIMIT):
     return {"scc_good": True, "column_uniform": column_ok}
 
 
-def kernel_stats(E, limit=ENUM_LIMIT):
-    """Exact distribution of |ker F| over the support, with the mean identity
-    and the characteristic-dependent lower bound on P{|ker| = 1}."""
+def kernel_stats(E):
+    """Exact distribution of |ker F| = q^(n - rank) over the support, with the mean
+    identity and the characteristic-dependent lower bound on P{|ker| = 1}."""
     field, n, m = E.field, E.n, E.m
     dist = {}
     for code, p in E.support:
-        size = sum(1 for _, y in codewords(code, limit) if not any(y))
+        size = field.q ** (n - rank(field, code.generator))
         dist[size] = dist.get(size, 0) + p
     mean = sum(Fraction(s) * p for s, p in dist.items())
     p_trivial = dist.get(1, Fraction(0))

@@ -3,9 +3,12 @@
 Everything probabilistic in this module is an exact Fraction.  A "spectrum"
 is a plain dict mapping TypeVector to Fraction; a joint spectrum maps
 (TypeVector, TypeVector) pairs.  Brute-force enumeration is the ground truth
-throughout, with explicit size limits.
+throughout: one packed-integer walk (_type_counter) counts types over the
+members of a span, the graph [I | A] for joint spectra and a kernel or image
+basis for those spectra, and ENUM_LIMIT bounds the side it enumerates.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -22,7 +25,7 @@ from .errors import (
     TooLarge,
     ZeroMarginal,
 )
-from .linalg import matvec, rank
+from .linalg import matvec, null_space, rank, rref, transpose
 
 ENUM_LIMIT = 1 << 20
 PERM_LIMIT = 8
@@ -234,119 +237,160 @@ def all_matrices_ensemble(field, n, m, limit=ENUM_LIMIT):
 # spectra of codes
 
 
-def codewords(f, limit=ENUM_LIMIT):
-    """Yield (x, f.apply(x)) for every input x, in all_vectors order.
+TABLE_BITS = 8
+LOW_MEMBERS = 1 << 11
 
-    This is the one exhaustive walk over GF(q)^n, and the one place its size
-    is checked against limit (TooLarge is raised when iteration starts).
-    Each odometer step moves input coordinate i from c to the next element
-    c' = (c + 1) mod q, so the output moves by the precomputed row (c' - c) A_i,
-    the difference taken in the field.  Over a prime field c' - c is 1 and the
-    row is A_i itself; over GF(p^r) it depends on how many base-p digits of c
-    carry.  Rows are added by XOR in characteristic 2, where addition is XOR
-    of the integer codes, by integer addition mod p over other prime fields,
-    and by field.add otherwise.
+
+def _type_counter(field, blocks):
+    """count(rows, offset, limit): Counter of packed type keys over the members
+    sum_i x_i rows_i + offset, x in GF(q)^k, in all_vectors order of x.  The
+    one exhaustive walk; its tables are built once per counter.
+
+    Member y has key sum_j B^(b(j) q + y_j), b(j) the block of coordinate j
+    and B the longest block plus one (_types decodes it).  A vector is one int
+    with each base-p digit in a w-bit field: w = 1 for p = 2, adding by XOR;
+    else w = (2p-2).bit_length(), adding by + and a SWAR fold mod p.  Rows
+    span members as c row = sum_i c_i (X^i row), c_i the base-p digits of c
+    and X^i row from field.mul for i > 0.  The last rows span a low half of at most
+    LOW_MEMBERS members, added to each prefix in chunks of whole coordinates
+    (at most TABLE_BITS bits) read through tables that fold mod p and sum key
+    terms; a wider coordinate is read through its block's q-entry weights.
     """
-    field, n = f.field, f.n
-    q, p = field.q, field.p
-    if q**n > limit:
-        raise TooLarge(f"q^n = {q**n} exceeds limit {limit}")
-    if field.r == 1:
-        steps = [[row] * q for row in f.generator]
-    else:
-        deltas = [field.sub((c + 1) % q, c) for c in range(q)]
-        steps = [[tuple(field.mul(d, a) for a in row) for d in deltas] for row in f.generator]
-    if p == 2:
-
-        def add(y, row):
-            return tuple(map(operator.xor, y, row))
-
-    elif field.r == 1:
-
-        def add(y, row):
-            return tuple([(a + b) % p for a, b in zip(y, row)])
-
-    else:
-
-        def add(y, row):
-            return tuple(map(field.add, y, row))
-
-    x = [0] * n
-    y = tuple(f.offset or (0,) * f.m)
-    yield tuple(x), y
-    for _ in range(q**n - 1):
-        i = n - 1
-        while x[i] == q - 1:
-            x[i] = 0
-            y = add(y, steps[i][q - 1])
-            i -= 1
-        y = add(y, steps[i][x[i]])
-        x[i] += 1
-        yield tuple(x), y
-
-
-def _joint_type_counts(f, in_keys, limit):
-    """Counter of (input counts, output counts) integer tuples over codewords(f).
-
-    in_keys yields the input count tuples in codewords order; they depend only
-    on q and n, so an ensemble computes them once for all its members.
-    """
-    if not f.m:
+    q, p, r = field.q, field.p, field.r
+    if not all(blocks):
         raise EmptySequence("cannot take the type of an empty sequence")
-    syms = range(f.field.q)
-    outs = (tuple(map(y.count, syms)) for _, y in codewords(f, limit))
-    return Counter(zip(in_keys, outs, strict=True))
+    block_of = {j: b for b, block in enumerate(blocks) for j in block}
+    n, w = len(block_of), 1 if p == 2 else (2 * p - 2).bit_length()
+    width, digit = r * w, (1 << w) - 1
+    cells = [sum(d << (i * w) for i, d in enumerate(ds)) for ds in field._digits]
+
+    def pack(vec):
+        return sum(map(operator.lshift, map(cells.__getitem__, vec), range(0, n * width, width)))
+
+    add = combine = operator.xor if p == 2 else operator.add
+    if p != 2:
+        # bit 0 of the even, then the odd, digit fields: adding 2^w - p carries
+        # out of a field exactly when it is >= p, into an empty neighbour
+        even = sum(1 << i for i in range(0, n * width, 2 * w))
+        lanes = [(even * digit, even), (even * digit << w, even << w)]
+
+        def add(a, b):
+            s = a + b
+            return s - p * sum((((s & m) + ((1 << w) - p) * o) >> w) & o for m, o in lanes)
+
+    def span(rows, start):
+        members = [start]
+        for row in rows:
+            for i in reversed(range(r)):
+                v = pack([field.mul(p**i, a) for a in row] if i else row)
+                multiples = list(itertools.accumulate([v] * (p - 1), add, initial=0))
+                members = [add(u, m) for u in members for m in multiples]
+        return members
+
+    def element(x):
+        return sum(((x >> (i * w)) & digit) % p * p**i for i in range(r))
+
+    base = max(map(len, blocks)) + 1
+    weights = [[base ** (b * q + y) for y in range(q)] for b in range(len(blocks))]
+    elements = [element(x) for x in range(1 << width)] if width <= TABLE_BITS else None
+    low_max = next(t for t in itertools.count() if q ** (t + 1) > LOW_MEMBERS)
+    per, readers, chunks = max(1, TABLE_BITS // width), {}, []
+    for start in range(0, n, per):
+        sig = tuple(block_of[j] for j in range(start, min(start + per, n)))
+        if sig not in readers and width > TABLE_BITS:
+            readers[sig] = functools.cache(lambda x, wb=weights[sig[0]]: wb[element(x)])
+        elif sig not in readers:
+            table = [0]
+            for b in reversed(sig):
+                table = [hi + weights[b][e] for hi in table for e in elements]
+            readers[sig] = table.__getitem__
+        chunks.append((start * width, (1 << (len(sig) * width)) - 1, readers[sig]))
+
+    def count(rows, offset, limit):
+        k = len(rows)
+        if q**k > limit:
+            raise TooLarge(f"q^k = {q**k} members exceeds limit {limit}")
+        low = min(k, low_max)
+        prefixes = span(rows[: k - low], 0 if offset is None else pack(offset))
+        suffixes = span(rows[k - low :], 0)
+        columns = [[(v >> s) & mask for v in suffixes] for s, mask, _ in chunks]
+        counts = Counter()
+        for h in prefixes:
+            keys = None
+            for (s, mask, read), column in zip(chunks, columns):
+                part = map(read, map(combine, itertools.repeat((h >> s) & mask), column))
+                keys = part if keys is None else map(operator.add, keys, part)
+            counts.update(keys)
+        return counts
+
+    return count
 
 
-def _input_keys(field, n):
-    syms = range(field.q)
-    return (tuple(map(x.count, syms)) for x in all_vectors(field, n))
+def _types(counts, q, blocks):
+    """(per-block TypeVectors, count) per nonzero key of a _type_counter result."""
+    base = max(map(len, blocks)) + 1
+    powers, radix = [base**a for a in range(q)], base**q
+    typed = functools.cache(lambda part: TypeVector(tuple([part // b % base for b in powers])))
+    keys = [key for key, c in counts.items() if c]
+    parts = [map(radix.__rmod__, map((radix**b).__rfloordiv__, keys)) for b in range(len(blocks))]
+    return zip(zip(*[map(typed, part) for part in parts]), map(counts.__getitem__, keys))
 
 
-def _typed(counts, total):
-    """Joint spectrum from integer counts over total; zero counts are dropped."""
+def _typed(types, total):
+    """Spectrum from _types over total, keyed by TypeVector or per-block tuples of them."""
+    masses = {}
     return {
-        (TypeVector(P), TypeVector(Q)): Fraction(c, total)
-        for (P, Q), c in counts.items()
-        if c
+        key if len(key) > 1 else key[0]: masses.get(c) or masses.setdefault(c, Fraction(c, total))
+        for key, c in types
     }
+
+
+def _graph(f):
+    """Rows [I_n | A], offset (0 | b) and blocks x|y of the graph {(x, f(x))}."""
+    n = f.n
+    rows = [(0,) * i + (1,) + (0,) * (n - 1 - i) + tuple(a) for i, a in enumerate(f.generator)]
+    offset = None if f.offset is None else (0,) * n + tuple(f.offset)
+    return rows, offset, (range(n), range(n, n + f.m))
+
+
+def _span_types(field, rows, offset, blocks, limit):
+    return _types(_type_counter(field, blocks)(rows, offset, limit), field.q, blocks)
 
 
 def code_joint_spectrum(f, limit=ENUM_LIMIT):
     """Joint spectrum of the graph {(x, f(x))}."""
-    return _typed(_joint_type_counts(f, _input_keys(f.field, f.n), limit), f.field.q**f.n)
+    return _typed(_span_types(f.field, *_graph(f), limit), f.field.q**f.n)
 
 
 def kernel_spectrum(f, limit=ENUM_LIMIT):
+    """Spectrum of {x : xA = 0} over a left null space basis; limit bounds q^(n - rank)."""
     if f.is_affine():
         raise ValueError("kernel of an affine map is not a subgroup")
-    return set_spectrum([x for x, y in codewords(f, limit) if not any(y)], f.field)
+    basis = null_space(f.field, transpose(f.generator), f.n)
+    return _typed(_span_types(f.field, basis, None, (range(f.n),), limit), f.field.q ** len(basis))
 
 
 def image_spectrum(f, limit=ENUM_LIMIT):
-    return set_spectrum({y for _, y in codewords(f, limit)}, f.field)
+    """Spectrum of {xA (+ offset)} over the reduced row basis of A; limit bounds q^rank."""
+    basis = rref(f.field, f.generator)[0]
+    types = _span_types(f.field, basis, f.offset, (range(f.m),), limit)
+    return _typed(types, f.field.q ** len(basis))
 
 
 def ensemble_avg_joint_spectrum(E, limit=ENUM_LIMIT):
     """Expected joint spectrum over the explicit support.
 
-    Member type counts are weighted by the integer p·D, D the lcm of the
-    support's denominators, and divided once by D·q^n.  The input types are
-    computed once, since every member walks codewords in the same order.
+    Member key counts are weighted by the integer p·D, D the lcm of the
+    support's denominators, summed, then decoded and divided once by D·q^n.
     Keys whose expected mass is zero do not appear.
     """
-    field, n = E.field, E.n
     scale, weights = _integer_weights(E.support)
-    acc = {}
-    in_keys = None
+    blocks = _graph(E.support[0][0])[2]
+    count, acc = _type_counter(E.field, blocks), {}
     for (code, _), w in zip(E.support, weights):
-        counts = _joint_type_counts(code, in_keys or _input_keys(field, n), limit)
-        if in_keys is None and len(E.support) > 1:
-            # the first walk has passed the size guard in codewords
-            in_keys = list(_input_keys(field, n))
-        for key, c in counts.items():
+        for key, c in count(*_graph(code)[:2], limit).items():
             acc[key] = acc.get(key, 0) + w * c
-    return _typed(acc, scale * field.q**n)
+    return _typed(_types(acc, E.field.q, blocks), scale * E.field.q**E.n)
 
 
 def alpha(E, P, Q, avg=None):

@@ -204,3 +204,11 @@ def test_custom_basis_is_a_change_of_coordinates(q, n, m, k, basis):
         assert a.rank == b.rank
     rep = verify_mrd(spec)
     assert rep["size_ok"] and rep["mrd_ok"]
+
+
+@pytest.mark.parametrize("basis", [(1, 2, 4, 8, 3), (1, 2, 4), (1, 2, 4, 8, 3, 5)])
+def test_basis_of_the_wrong_length_is_rejected(basis):
+    # n' = 4 elements are needed; five with four independent ones used to be
+    # accepted and then fail inside enumerate_code
+    with pytest.raises(ValueError, match="basis"):
+        gabidulin_make(2, 4, 4, 2, basis=basis)

@@ -1,6 +1,9 @@
 import itertools
 import math
+import operator
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,8 +11,9 @@ import pytest
 from codespectra.designer import outer_weight_window
 from codespectra.errors import EmptySequence, EmptySet, NotStochastic, TooLarge, ZeroMarginal
 from codespectra.gf import field_make
+from codespectra.linalg import rank as linalg_rank
 from codespectra.macwilliams import Subspace, enumerate_subspace, subspace_from_rows
-from codespectra.mrd import gabidulin_ensemble, gabidulin_make, kernel_stats
+from codespectra.mrd import gabidulin_ensemble, gabidulin_make
 from codespectra.spectra import (
     CodeEnsemble,
     LinearCode,
@@ -18,8 +22,9 @@ from codespectra.spectra import (
     all_vectors,
     alpha,
     alpha_table,
+    _type_counter,
+    _types,
     code_joint_spectrum,
-    codewords,
     compose_avg_conditional,
     conditional_at,
     conditional_spectrum,
@@ -320,26 +325,52 @@ def test_spectrum_serialization_roundtrip():
     assert spectrum_from_json(obj) == s
 
 
+def _brute_counts(f, blocks, field):
+    """Counter of concatenated per-block types of f.apply(x), all_vectors order."""
+    return Counter(
+        tuple(c for b in blocks for c in type_of([y[j] for j in b], field).counts)
+        for y in map(f.apply, all_vectors(field, f.n))
+    )
+
+
 @pytest.mark.parametrize(
-    "p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (3, 3)]
+    "p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (3, 3), (257, 1)]
 )
 def test_codewords_match_apply(p, r):
-    # GF(4), GF(8), GF(9), GF(16) and GF(27) step by ((c + 1) - c) A_i, which is
-    # not A_i there; characteristic 2 adds rows by XOR
+    # The packed walk against f.apply and type_of over all_vectors: joint
+    # spectra (with their key order), images, kernels and partitioned counts.
+    # GF(27) and GF(257) have coordinates wider than one key table; odd p
+    # needs the SWAR fold and the table's fold mod p once offsets are added.
     field = field_make(p, r)
     q = field.q
     rng = random.Random(q)
-    n = 3 if q <= 4 else 2
-    rows = [tuple(rng.randrange(q) for _ in range(3)) for _ in range(n)]
-    rows[1] = (0, 0, 0)
-    offset = tuple(rng.randrange(q) for _ in range(3))
-    codes = [
-        LinearCode(field, tuple(rows[:1])),
-        LinearCode(field, tuple(rows)),
-        LinearCode(field, tuple(rows), offset),
-    ]
-    for f in codes:
-        assert list(codewords(f)) == [(x, f.apply(x)) for x in all_vectors(field, f.n)]
+    n = 1 if q > 27 else 3 if q <= 4 else 2
+    for m in (1, 3, 5):
+        rows = [tuple(rng.randrange(q) for _ in range(m)) for _ in range(n)]
+        if n > 1:
+            rows[-1] = (0,) * m
+        offset = tuple(rng.randrange(q) for _ in range(m))
+        coords = list(range(m))
+        rng.shuffle(coords)
+        partition = partition_make([coords[0::2], coords[1::2]] if m > 1 else [coords], m)
+        for f in (LinearCode(field, tuple(rows)), LinearCode(field, tuple(rows), offset)):
+            inputs = list(all_vectors(field, n))
+            joint = Counter((type_of(x, field), type_of(f.apply(x), field)) for x in inputs)
+            want = {key: Fraction(c, q**n) for key, c in joint.items()}
+            assert list(code_joint_spectrum(f).items()) == list(want.items())
+            assert image_spectrum(f) == set_spectrum({f.apply(x) for x in inputs}, field)
+            if f.offset is None:
+                kernel = [x for x in inputs if not any(f.apply(x))]
+                assert kernel_spectrum(f) == set_spectrum(kernel, field)
+            for blocks in ((range(m),), partition):
+                got = _types(_type_counter(field, blocks)(rows, f.offset, q**n), q, blocks)
+                got = [(tuple(c for P in types for c in P.counts), c) for types, c in got]
+                assert got == list(_brute_counts(f, blocks, field).items())
+        # no rows: the one member is the offset
+        got = _type_counter(field, partition)((), offset, 1)
+        assert list(_types(got, q, partition)) == [
+            (tuple(type_of([offset[j] for j in b], field) for b in partition), 1)
+        ]
 
 
 def test_enumerate_subspace_dim_zero():
@@ -347,24 +378,96 @@ def test_enumerate_subspace_dim_zero():
 
 
 _code = LinearCode(f3, ((1, 2, 0), (0, 1, 1)))
+_rank_two = LinearCode(f3, ((1, 2, 0), (0, 1, 1), (1, 0, 1)))
+# The limit bounds the side that is enumerated: q^n inputs for the joint
+# spectrum, q^rank image points, q^(n - rank) kernel members.
 _ENUMERATIONS = {
-    "code_joint_spectrum": lambda limit: code_joint_spectrum(_code, limit),
-    "kernel_spectrum": lambda limit: kernel_spectrum(_code, limit),
-    "image_spectrum": lambda limit: image_spectrum(_code, limit),
-    "enumerate_subspace": lambda limit: enumerate_subspace(
-        subspace_from_rows(f3, _code.generator), limit
+    "code_joint_spectrum": (lambda limit: code_joint_spectrum(_code, limit), 3**2),
+    "kernel_spectrum": (lambda limit: kernel_spectrum(_rank_two, limit), 3 ** (3 - 2)),
+    "image_spectrum": (lambda limit: image_spectrum(_rank_two, limit), 3**2),
+    "enumerate_subspace": (
+        lambda limit: enumerate_subspace(subspace_from_rows(f3, _code.generator), limit),
+        3**2,
     ),
-    "outer_weight_window": lambda limit: outer_weight_window(_code, limit),
-    "kernel_stats": lambda limit: kernel_stats(single_code_ensemble(_code), limit),
+    "outer_weight_window": (lambda limit: outer_weight_window(_code, limit), 3**2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ENUMERATIONS))
 def test_enumeration_limit_is_q_to_the_n(name):
-    run = _ENUMERATIONS[name]
+    run, needed = _ENUMERATIONS[name]
     with pytest.raises(TooLarge):
-        run(3**2 - 1)
-    assert run(3**2)
+        run(needed - 1)
+    assert run(needed)
+
+
+def _block_diagonal(blocks):
+    n, m = sum(len(b) for b in blocks), sum(len(b[0]) for b in blocks)
+    rows, col = [], 0
+    for b in blocks:
+        for row in b:
+            rows.append((0,) * col + tuple(row) + (0,) * (m - col - len(row)))
+        col += len(b[0])
+    assert len(rows) == n
+    return LinearCode(f2, tuple(rows))
+
+
+def _product_spectrum(spectra):
+    """Spectrum of the concatenations of independent parts: types add."""
+    out = {TypeVector((0, 0)): Fraction(1)}
+    for spec in spectra:
+        nxt = {}
+        for P, a in out.items():
+            for Q, b in spec.items():
+                key = TypeVector(tuple(map(operator.add, P.counts, Q.counts)))
+                nxt[key] = nxt.get(key, 0) + a * b
+        out = nxt
+    return out
+
+
+def _random_block(rng, n, m, rank):
+    """Random n x m binary matrix of the given rank: a sum of rank outer products."""
+    while True:
+        u = [[rng.randrange(2) for _ in range(n)] for _ in range(rank)]
+        v = [[rng.randrange(2) for _ in range(m)] for _ in range(rank)]
+        block = tuple(
+            tuple(sum(u[t][i] * v[t][j] for t in range(rank)) % 2 for j in range(m))
+            for i in range(n)
+        )
+        if linalg_rank(f2, block) == rank:
+            return block
+
+
+def test_kernel_at_rank_36_of_n_40_walks_its_basis():
+    # 2^40 inputs, 2^4 kernel members: four 10 x 9 blocks of rank 9
+    rng = random.Random(40)
+    blocks = [_random_block(rng, 10, 9, 9) for _ in range(4)]
+    parts = []
+    for b in blocks:
+        small = LinearCode(f2, b)
+        parts.append(set_spectrum([x for x in all_vectors(f2, 10) if not any(small.apply(x))], f2))
+    start = time.perf_counter()
+    got = kernel_spectrum(_block_diagonal(blocks))
+    assert time.perf_counter() - start < 1
+    assert got == _product_spectrum(parts)
+    assert sum(got.values()) == 1
+
+
+def test_image_at_rank_4_of_n_40_walks_its_basis():
+    # 2^40 inputs, 2^4 image points: four 10 x 3 blocks of rank 1, affine
+    rng = random.Random(4)
+    blocks = [_random_block(rng, 10, 3, 1) for _ in range(4)]
+    offset = tuple(rng.randrange(2) for _ in range(12))
+    parts = []
+    for i, b in enumerate(blocks):
+        small = LinearCode(f2, b, offset[3 * i : 3 * i + 3])
+        parts.append(set_spectrum({small.apply(x) for x in all_vectors(f2, 10)}, f2))
+    code = _block_diagonal(blocks)
+    start = time.perf_counter()
+    got = image_spectrum(LinearCode(f2, code.generator, offset))
+    assert time.perf_counter() - start < 1
+    assert got == _product_spectrum(parts)
+    assert sum(got.values()) == 1
 
 
 def test_ensemble_probabilities_must_sum_to_one():
