@@ -5,7 +5,10 @@ is a plain dict mapping TypeVector to Fraction; a joint spectrum maps
 (TypeVector, TypeVector) pairs.  Brute-force enumeration is the ground truth
 throughout: one packed-integer walk (_type_counter) counts types over the
 members of a span, the graph [I | A] for joint spectra and a kernel or image
-basis for those spectra, and ENUM_LIMIT bounds the side it enumerates.
+basis for those spectra, and ENUM_LIMIT bounds the side it enumerates.  An
+ensemble average walks its whole support at once: the graphs of all members
+share their inputs x, so one span of the stacked rows [I | A_1 | ... | A_M]
+counts every (member, x) pair.
 """
 
 import functools
@@ -157,6 +160,13 @@ class LinearCode:
     generator: tuple
     offset: tuple = None
 
+    def __post_init__(self):
+        lengths = set(map(len, self.generator))
+        if len(lengths) != 1:
+            raise DimensionMismatch(f"generator rows have lengths {sorted(lengths)}")
+        if self.offset is not None and len(self.offset) != self.m:
+            raise DimensionMismatch(f"offset has length {len(self.offset)}, the code m = {self.m}")
+
     @property
     def n(self):
         return len(self.generator)
@@ -186,6 +196,13 @@ class CodeEnsemble:
         total = sum(p for _, p in self.support)
         if total != 1:
             raise NotStochastic(f"support probabilities sum to {total}")
+        first = self.support[0][0]
+        for code, _ in self.support:
+            if (code.n, code.m) != (first.n, first.m) or code.field != first.field:
+                raise DimensionMismatch(
+                    f"members over {first.field} {first.n}x{first.m}"
+                    f" and {code.field} {code.n}x{code.m}"
+                )
 
     @property
     def field(self):
@@ -239,22 +256,35 @@ def all_matrices_ensemble(field, n, m, limit=ENUM_LIMIT):
 
 TABLE_BITS = 8
 LOW_MEMBERS = 1 << 11
+GROUP_BITS = 1 << 8
 
 
 def _type_counter(field, blocks):
-    """count(rows, offset, limit): Counter of packed type keys over the members
+    """count(members, limit, shared=0): an iterator of one Counter of packed
+    type keys per member (rows, offset), in order, over the member's span
     sum_i x_i rows_i + offset, x in GF(q)^k, in all_vectors order of x.  The
     one exhaustive walk; its tables are built once per counter.
 
     Member y has key sum_j B^(b(j) q + y_j), b(j) the block of coordinate j
     and B the longest block plus one (_types decodes it).  A vector is one int
     with each base-p digit in a w-bit field: w = 1 for p = 2, adding by XOR;
-    else w = (2p-2).bit_length(), adding by + and a SWAR fold mod p.  Rows
-    span members as c row = sum_i c_i (X^i row), c_i the base-p digits of c
-    and X^i row from field.mul for i > 0.  The last rows span a low half of at most
-    LOW_MEMBERS members, added to each prefix in chunks of whole coordinates
-    (at most TABLE_BITS bits) read through tables that fold mod p and sum key
-    terms; a wider coordinate is read through its block's q-entry weights.
+    else w = (2p-2).bit_length(), adding by + and a SWAR fold mod p, both
+    list-wise.  Rows span members as c row = sum_i c_i (X^i row), c_i the
+    base-p digits of c and X^i row from field.mul for i > 0.  The last rows
+    span a low half of at most LOW_MEMBERS members, added to each prefix in
+    chunks of whole coordinates (at most TABLE_BITS bits) read through tables
+    that fold mod p and sum key terms; a wider coordinate is read through its
+    block's q-entry weights.
+
+    Members share k and their first `shared` coordinates (the inputs x of a
+    graph [I_n | A]), so they are walked stacked: one span of the rows
+    [head | slot_1 | ... | slot_M], each slot a member's coordinates past the
+    head.  The head's keys are read once per prefix and each member adds the
+    reads of its own slot.  The head is the shared coordinates, their whole
+    chunks or nothing, whichever reads the fewest chunks; a lone member has
+    none, so its chunks are the plain walk's.  Members are stacked in groups
+    whose vectors hold at most GROUP_BITS bits (or one member), so memory and
+    the cost of the shifts stay linear in M.
     """
     q, p, r = field.q, field.p, field.r
     if not all(blocks):
@@ -265,26 +295,32 @@ def _type_counter(field, blocks):
     cells = [sum(d << (i * w) for i, d in enumerate(ds)) for ds in field._digits]
 
     def pack(vec):
-        return sum(map(operator.lshift, map(cells.__getitem__, vec), range(0, n * width, width)))
+        return sum(map(operator.lshift, map(cells.__getitem__, vec), itertools.count(0, width)))
 
-    add = combine = operator.xor if p == 2 else operator.add
-    if p != 2:
-        # bit 0 of the even, then the odd, digit fields: adding 2^w - p carries
-        # out of a field exactly when it is >= p, into an empty neighbour
-        even = sum(1 << i for i in range(0, n * width, 2 * w))
-        lanes = [(even * digit, even), (even * digit << w, even << w)]
+    def folder(bits):
+        """List-wise fold mod p of every digit field of sums of two vectors
+        below 2^bits: adding 2^w - p to the even, then the odd, fields carries
+        out of a field exactly when it is >= p, into an empty neighbour."""
+        if p == 2:
+            return lambda sums: sums
+        even = sum(1 << i for i in range(0, bits, 2 * w))
+        (m0, k0, o0), (m1, k1, o1) = [(o * digit, o * ((1 << w) - p), o) for o in (even, even << w)]
+        return lambda sums: [
+            s - p * ((((s & m0) + k0) >> w & o0) + (((s & m1) + k1) >> w & o1)) for s in sums
+        ]
 
-        def add(a, b):
-            s = a + b
-            return s - p * sum((((s & m) + ((1 << w) - p) * o) >> w) & o for m, o in lanes)
-
-    def span(rows, start):
+    def span(rows, start, fold):
         members = [start]
         for row in rows:
             for i in reversed(range(r)):
                 v = pack([field.mul(p**i, a) for a in row] if i else row)
-                multiples = list(itertools.accumulate([v] * (p - 1), add, initial=0))
-                members = [add(u, m) for u in members for m in multiples]
+                if p == 2:
+                    members = [u ^ m for u in members for m in (0, v)]
+                    continue
+                multiples = [0, v]
+                while len(multiples) < p:
+                    multiples += fold([multiples[-1] + v])
+                members = fold([u + m for u in members for m in multiples])
         return members
 
     def element(x):
@@ -294,9 +330,10 @@ def _type_counter(field, blocks):
     weights = [[base ** (b * q + y) for y in range(q)] for b in range(len(blocks))]
     elements = [element(x) for x in range(1 << width)] if width <= TABLE_BITS else None
     low_max = next(t for t in itertools.count() if q ** (t + 1) > LOW_MEMBERS)
-    per, readers, chunks = max(1, TABLE_BITS // width), {}, []
-    for start in range(0, n, per):
-        sig = tuple(block_of[j] for j in range(start, min(start + per, n)))
+    per, readers = max(1, TABLE_BITS // width), {}
+    combine = operator.xor if p == 2 else operator.add
+
+    def reader(sig):
         if sig not in readers and width > TABLE_BITS:
             readers[sig] = functools.cache(lambda x, wb=weights[sig[0]]: wb[element(x)])
         elif sig not in readers:
@@ -304,24 +341,76 @@ def _type_counter(field, blocks):
             for b in reversed(sig):
                 table = [hi + weights[b][e] for hi in table for e in elements]
             readers[sig] = table.__getitem__
-        chunks.append((start * width, (1 << (len(sig) * width)) - 1, readers[sig]))
+        return readers[sig]
 
-    def count(rows, offset, limit):
-        k = len(rows)
+    def chunks(lo, hi):
+        """(shift, mask, read) per chunk of coordinates lo..hi-1 packed from bit 0."""
+        out = []
+        for start in range(lo, hi, per):
+            sig = tuple(block_of[j] for j in range(start, min(start + per, hi)))
+            out.append(((start - lo) * width, (1 << (len(sig) * width)) - 1, reader(sig)))
+        return out
+
+    def size(head):
+        """Members per group: a group's vectors hold at most GROUP_BITS bits."""
+        return max(1, (GROUP_BITS // width - head) // (n - head))
+
+    def cost(head, total):
+        """Chunk reads per x: the head's once per group, each slot's once per member."""
+        return -(-total // size(head)) * -(-head // per) + total * -(-(n - head) // per)
+
+    def stack(group, head):
+        """Rows and offset of the group's members side by side: the first
+        member's head coordinates, then each member's coordinates past it."""
+        if len(group) == 1:
+            return group[0]
+
+        def joined(vectors):
+            return tuple(itertools.chain(vectors[0][:head], *(v[head:] for v in vectors)))
+
+        rows = [joined(parts) for parts in zip(*(rs for rs, _ in group))]
+        if all(b is None for _, b in group):
+            return rows, None
+        return rows, joined([(0,) * n if b is None else b for _, b in group])
+
+    def columns(chunks, at, suffixes):
+        """The chunks moved to bit at, each with its column of suffix values."""
+        shifted = [(at + s, mask, read) for s, mask, read in chunks]
+        return [(s, mask, read, [(v >> s) & mask for v in suffixes]) for s, mask, read in shifted]
+
+    def reads(x, chunks, keys):
+        for s, mask, read, column in chunks:
+            at = (x >> s) & mask
+            part = map(read, map(combine, itertools.repeat(at), column) if at else column)
+            keys = part if keys is None else map(operator.add, keys, part)
+        return keys
+
+    def count(members, limit, shared=0):
+        k = len(members[0][0])
         if q**k > limit:
             raise TooLarge(f"q^k = {q**k} members exceeds limit {limit}")
-        low = min(k, low_max)
-        prefixes = span(rows[: k - low], 0 if offset is None else pack(offset))
-        suffixes = span(rows[k - low :], 0)
-        columns = [[(v >> s) & mask for v in suffixes] for s, mask, _ in chunks]
-        counts = Counter()
-        for h in prefixes:
-            keys = None
-            for (s, mask, read), column in zip(chunks, columns):
-                part = map(read, map(combine, itertools.repeat((h >> s) & mask), column))
-                keys = part if keys is None else map(operator.add, keys, part)
-            counts.update(keys)
-        return counts
+        total, low = len(members), min(k, low_max)
+        head = 0
+        if total > 1:
+            head = min((0, shared - shared % per, shared), key=lambda h: cost(h, total))
+        head_chunks, slot_chunks = chunks(0, head), chunks(head, n)
+        for g in range(0, total, size(head)):
+            group = members[g : g + size(head)]
+            rows, offset = stack(group, head)
+            fold = folder((head + len(group) * (n - head)) * width)
+            prefixes = span(rows[: k - low], 0 if offset is None else pack(offset), fold)
+            suffixes = span(rows[k - low :], 0, fold)
+            heads = columns(head_chunks, 0, suffixes)
+            slots = [
+                columns(slot_chunks, (head + j * (n - head)) * width, suffixes)
+                for j in range(len(group))
+            ]
+            counts = [Counter() for _ in group]
+            for x in prefixes:
+                keys = list(reads(x, heads, None)) if heads else None
+                for counter, chunks_j in zip(counts, slots):
+                    counter.update(reads(x, chunks_j, keys))
+            yield from counts
 
     return count
 
@@ -354,7 +443,7 @@ def _graph(f):
 
 
 def _span_types(field, rows, offset, blocks, limit):
-    return _types(_type_counter(field, blocks)(rows, offset, limit), field.q, blocks)
+    return _types(next(_type_counter(field, blocks)([(rows, offset)], limit)), field.q, blocks)
 
 
 def code_joint_spectrum(f, limit=ENUM_LIMIT):
@@ -380,15 +469,16 @@ def image_spectrum(f, limit=ENUM_LIMIT):
 def ensemble_avg_joint_spectrum(E, limit=ENUM_LIMIT):
     """Expected joint spectrum over the explicit support.
 
-    Member key counts are weighted by the integer p·D, D the lcm of the
-    support's denominators, summed, then decoded and divided once by D·q^n.
-    Keys whose expected mass is zero do not appear.
+    One stacked walk counts every member's graph [I_n | A] (the inputs x are
+    shared); member key counts are weighted by the integer p·D, D the lcm of
+    the support's denominators, summed, then decoded and divided once by
+    D·q^n.  Keys whose expected mass is zero do not appear.
     """
     scale, weights = _integer_weights(E.support)
-    blocks = _graph(E.support[0][0])[2]
-    count, acc = _type_counter(E.field, blocks), {}
-    for (code, _), w in zip(E.support, weights):
-        for key, c in count(*_graph(code)[:2], limit).items():
+    blocks, acc = _graph(E.support[0][0])[2], {}
+    members = [_graph(code)[:2] for code, _ in E.support]
+    for counts, w in zip(_type_counter(E.field, blocks)(members, limit, E.n), weights):
+        for key, c in counts.items():
             acc[key] = acc.get(key, 0) + w * c
     return _typed(_types(acc, E.field.q, blocks), scale * E.field.q**E.n)
 
@@ -495,6 +585,8 @@ def randomize(E, mode):
     uniform offset so every single point maps uniformly.  A permutation acts
     by reindexing the generator A: P·A takes the rows of A in the order perm,
     and A·P takes its columns in the order of the inverse permutation.
+    Equal variants merge in first-seen order; their weights add as the
+    integers p·D (see _integer_weights) and are divided once.
     """
     if mode not in ("in", "out", "both", "affine"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -513,9 +605,9 @@ def randomize(E, mode):
         for p in perms(m, mode != "in")
     ]
     offsets = list(all_vectors(field, m)) if mode == "affine" else [None]
-    scale = Fraction(1, len(in_perms) * len(out_inverses) * len(offsets))
+    scale, weights = _integer_weights(E.support)
     merged = {}
-    for code, p in E.support:
+    for (code, _), weight in zip(E.support, weights):
         A = code.generator
         for pin in in_perms:
             left = A if pin is None else tuple(tuple(A[i]) for i in pin)
@@ -525,10 +617,14 @@ def randomize(E, mode):
                     offset = code.offset
                     if off is not None:
                         offset = tuple(map(field.add, offset or (0,) * m, off))
-                    variant = LinearCode(field, gen, offset)
-                    merged[variant] = merged.get(variant, 0) + p * scale
+                    merged[gen, offset] = merged.get((gen, offset), 0) + weight
+    scale *= len(in_perms) * len(out_inverses) * len(offsets)
     return CodeEnsemble(
-        support=tuple(merged.items()), description=f"{E.description} randomized {mode}"
+        support=tuple(
+            (LinearCode(field, gen, offset), Fraction(w, scale))
+            for (gen, offset), w in merged.items()
+        ),
+        description=f"{E.description} randomized {mode}",
     )
 
 

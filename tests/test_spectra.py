@@ -8,8 +8,16 @@ from fractions import Fraction
 
 import pytest
 
+from codespectra import spectra
 from codespectra.designer import outer_weight_window
-from codespectra.errors import EmptySequence, EmptySet, NotStochastic, TooLarge, ZeroMarginal
+from codespectra.errors import (
+    DimensionMismatch,
+    EmptySequence,
+    EmptySet,
+    NotStochastic,
+    TooLarge,
+    ZeroMarginal,
+)
 from codespectra.gf import field_make
 from codespectra.linalg import rank as linalg_rank
 from codespectra.macwilliams import Subspace, enumerate_subspace, subspace_from_rows
@@ -363,11 +371,12 @@ def test_codewords_match_apply(p, r):
                 kernel = [x for x in inputs if not any(f.apply(x))]
                 assert kernel_spectrum(f) == set_spectrum(kernel, field)
             for blocks in ((range(m),), partition):
-                got = _types(_type_counter(field, blocks)(rows, f.offset, q**n), q, blocks)
+                counts = next(_type_counter(field, blocks)([(rows, f.offset)], q**n))
+                got = _types(counts, q, blocks)
                 got = [(tuple(c for P in types for c in P.counts), c) for types, c in got]
                 assert got == list(_brute_counts(f, blocks, field).items())
         # no rows: the one member is the offset
-        got = _type_counter(field, partition)((), offset, 1)
+        got = next(_type_counter(field, partition)([((), offset)], 1))
         assert list(_types(got, q, partition)) == [
             (tuple(type_of([offset[j] for j in b], field) for b in partition), 1)
         ]
@@ -379,6 +388,7 @@ def test_enumerate_subspace_dim_zero():
 
 _code = LinearCode(f3, ((1, 2, 0), (0, 1, 1)))
 _rank_two = LinearCode(f3, ((1, 2, 0), (0, 1, 1), (1, 0, 1)))
+_two_members = randomize(single_code_ensemble(_code), "in")
 # The limit bounds the side that is enumerated: q^n inputs for the joint
 # spectrum, q^rank image points, q^(n - rank) kernel members.
 _ENUMERATIONS = {
@@ -390,6 +400,10 @@ _ENUMERATIONS = {
         3**2,
     ),
     "outer_weight_window": (lambda limit: outer_weight_window(_code, limit), 3**2),
+    "ensemble_avg_joint_spectrum": (
+        lambda limit: ensemble_avg_joint_spectrum(_two_members, limit),
+        3**2,
+    ),
 }
 
 
@@ -474,6 +488,76 @@ def test_ensemble_probabilities_must_sum_to_one():
     code = LinearCode(f2, ((1,),))
     with pytest.raises(NotStochastic):
         CodeEnsemble(support=((code, Fraction(1, 2)), (code, Fraction(1, 3))))
+
+
+def test_ragged_generator_and_offset_length_are_rejected():
+    with pytest.raises(DimensionMismatch):
+        LinearCode(f2, ((1, 0), (1,)))
+    with pytest.raises(DimensionMismatch):
+        LinearCode(f2, ())  # no rows
+    with pytest.raises(DimensionMismatch):
+        LinearCode(f2, ((1, 0), (0, 1)), (1,))
+    with pytest.raises(DimensionMismatch):
+        LinearCode(f2, ((1, 0), (0, 1)), (1, 0, 1))
+    assert LinearCode(f2, ((1, 0), (0, 1)), (1, 0)).apply((0, 0)) == (1, 0)
+
+
+def test_ensemble_members_of_different_shapes_are_rejected():
+    two_by_two = LinearCode(f2, ((1, 0), (0, 1)))
+    half = Fraction(1, 2)
+    for other in (
+        LinearCode(f2, ((1, 0), (0, 1), (1, 1))),  # n = 3
+        LinearCode(f2, ((1, 0, 1), (0, 1, 1))),  # m = 3
+        LinearCode(f3, ((1, 0), (0, 1))),  # GF(3)
+    ):
+        with pytest.raises(DimensionMismatch):
+            CodeEnsemble(support=((two_by_two, half), (other, half)))
+
+
+def _reference_average(E):
+    """E[S(P, Q)] by f.apply and type_of over all_vectors, with Fraction
+    weights, keyed in first-seen order over the support, then the inputs."""
+    out = {}
+    for code, p in E.support:
+        field = code.field
+        for x in all_vectors(field, code.n):
+            key = (type_of(x, field), type_of(code.apply(x), field))
+            out[key] = out.get(key, 0) + p / field.q**code.n
+    return {key: mass for key, mass in out.items() if mass}
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_ensemble_average_matches_apply_reference(p, r):
+    # Linear and affine members, zero-probability members and mixed
+    # denominators, against an oracle that shares nothing with the walk.
+    field = field_make(p, r)
+    q = field.q
+    rng = random.Random(q)
+    for n, m in ((1, 1), (2, 3), (1, 4)) if q <= 5 else ((1, 2), (2, 1)):
+        codes = []
+        for i in range(7):
+            gen = tuple(tuple(rng.randrange(q) for _ in range(m)) for _ in range(n))
+            offset = None if i % 3 == 0 else tuple(rng.randrange(q) for _ in range(m))
+            codes.append(LinearCode(field, gen, offset))
+        weights = [0, 3, 1, 0, 2, 5, 1]
+        E = CodeEnsemble(tuple(zip(codes, (Fraction(w, 12) for w in weights))))
+        avg = ensemble_avg_joint_spectrum(E)
+        ref = _reference_average(E)
+        assert avg == ref
+        assert list(avg) == list(ref)
+        assert sum(avg.values()) == 1
+
+
+@pytest.mark.parametrize("field,n,m", [(f2, 2, 3), (f3, 2, 2)], ids=["GF2-2x3", "GF3-2x2"])
+def test_ensemble_average_wider_than_one_group(field, n, m):
+    # every member's slot holds at least its m outputs, so the stacked walk
+    # splits this support into several groups
+    E = randomize(all_matrices_ensemble(field, n, m), "affine")
+    assert len(E.support) * m > spectra.GROUP_BITS
+    avg = ensemble_avg_joint_spectrum(E)
+    ref = _reference_average(E)
+    assert avg == ref
+    assert list(avg) == list(ref)
 
 
 def _weighted_sum_of_spectra(E):
