@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     EmptySequence,
     EmptySet,
     NotStochastic,
@@ -466,17 +467,40 @@ def image_spectrum(f, limit=ENUM_LIMIT):
     return _typed(types, f.field.q ** len(basis))
 
 
+def _permutation_class(code):
+    """A normal form of code under row and column permutations: its rows
+    sorted, then its columns sorted, each column led by its offset entry (0
+    when linear).  Codes with equal forms have equal joint spectra, since
+    permuting the rows permutes the inputs x and permuting the columns, with
+    the offset, permutes the outputs; one pass may miss some equivalences."""
+    rows = sorted(code.generator)
+    return tuple(sorted(zip(code.offset or itertools.repeat(0), *rows)))
+
+
 def ensemble_avg_joint_spectrum(E, limit=ENUM_LIMIT):
     """Expected joint spectrum over the explicit support.
 
-    One stacked walk counts every member's graph [I_n | A] (the inputs x are
-    shared); member key counts are weighted by the integer p·D, D the lcm of
-    the support's denominators, summed, then decoded and divided once by
-    D·q^n.  Keys whose expected mass is zero do not appear.
+    Members are merged by _permutation_class: each class is walked once, as
+    its first member in support order, with the class's summed weight.
+    Member weights are the integers p·D, D the lcm of the support's
+    denominators.  One stacked walk counts the walked members' graphs
+    [I_n | A] (the inputs x are shared); their key counts are weighted,
+    summed, then decoded and divided once by D·q^n.  Later members of a class
+    add no new keys and zero-weight classes still place theirs, so the key
+    order is that of the whole support.  Keys whose expected mass is zero do
+    not appear.
     """
     scale, weights = _integer_weights(E.support)
-    blocks, acc = _graph(E.support[0][0])[2], {}
-    members = [_graph(code)[:2] for code, _ in E.support]
+    codes = [code for code, _ in E.support]
+    if len(codes) > 1:
+        classes = {}
+        for code, w in zip(codes, weights):
+            key = _permutation_class(code)
+            first, total = classes.get(key, (code, 0))
+            classes[key] = first, total + w
+        codes, weights = zip(*classes.values())
+    blocks, acc = _graph(codes[0])[2], {}
+    members = [_graph(code)[:2] for code in codes]
     for counts, w in zip(_type_counter(E.field, blocks)(members, limit, E.n), weights):
         for key, c in counts.items():
             acc[key] = acc.get(key, 0) + w * c
@@ -528,13 +552,20 @@ def joint_marginal(J, axis):
     return out
 
 
+def _given_axis(direction):
+    """0 for "forward" (condition on the input P), 1 for "backward" (on Q)."""
+    if direction not in ("forward", "backward"):
+        raise DomainError(f"direction must be 'forward' or 'backward', not {direction!r}")
+    return 0 if direction == "forward" else 1
+
+
 def conditional_spectrum(J, direction="forward"):
     """Conditional table of a joint spectrum.
 
     direction "forward" gives S(Q|P), "backward" gives S(P|Q).  Keys with
     zero marginal do not appear.
     """
-    axis = 0 if direction == "forward" else 1
+    axis = _given_axis(direction)
     marg = joint_marginal(J, axis)
     out = {}
     for (P, Q), mass in J.items():
@@ -546,10 +577,18 @@ def conditional_spectrum(J, direction="forward"):
 
 
 def conditional_at(J, given, direction="forward"):
-    table = conditional_spectrum(J, direction)
-    if given not in table:
+    """Row `given` of conditional_spectrum(J, direction), from one pass over J
+    that sums only that row's marginal."""
+    axis = _given_axis(direction)
+    marg, row = 0, {}
+    for key, mass in J.items():
+        if key[axis] == given:
+            marg += mass
+            if mass != 0:
+                row[key[1 - axis]] = mass
+    if not row:
         raise ZeroMarginal(f"conditioning type {given} has zero marginal")
-    return table[given]
+    return {other: mass / marg for other, mass in row.items()}
 
 
 def compose_avg_conditional(F, G, limit=ENUM_LIMIT):

@@ -12,6 +12,7 @@ from codespectra import spectra
 from codespectra.designer import outer_weight_window
 from codespectra.errors import (
     DimensionMismatch,
+    DomainError,
     EmptySequence,
     EmptySet,
     NotStochastic,
@@ -225,6 +226,43 @@ def test_conditional_spectrum():
         assert inner == {TypeVector((1, 0)): Fraction(1)}
     with pytest.raises(ZeroMarginal):
         conditional_at(code_joint_spectrum(repc), TypeVector((5, 5)))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_conditional_at_is_one_row_of_the_table(direction):
+    # zero-mass entries inside rows, and a row whose entries are all zero
+    E = randomize(all_matrices_ensemble(f3, 1, 2), "in")
+    J = dict(ensemble_avg_joint_spectrum(E))
+    P1, P2 = TypeVector((0, 1, 0)), TypeVector((0, 0, 1))
+    Q0, Q1 = TypeVector((2, 0, 0)), TypeVector((0, 1, 1))
+    J[P1, Q1] = Fraction(0)  # a nonzero pair zeroed: both rows keep other mass
+    J[TypeVector((1, 0, 0)), Q1] = Fraction(0)
+    dead_in, dead_out = TypeVector((3, 0, 0)), TypeVector((0, 3, 0))
+    J[dead_in, dead_out] = Fraction(0)
+    table = conditional_spectrum(J, direction)
+    axis = 0 if direction == "forward" else 1
+    givens = list(dict.fromkeys(key[axis] for key in J))
+    assert {P1, P2, Q0, Q1} & set(givens)
+    for given in givens:
+        if given in (dead_in, dead_out):
+            with pytest.raises(ZeroMarginal):
+                conditional_at(J, given, direction)
+            assert given not in table
+            continue
+        row = conditional_at(J, given, direction)
+        assert list(row.items()) == list(table[given].items())
+        assert sum(row.values()) == 1
+    with pytest.raises(ZeroMarginal):
+        conditional_at(J, TypeVector((1, 1, 1)), direction)
+
+
+@pytest.mark.parametrize("direction", ["fwd", "Forward", None, 0])
+def test_unknown_direction_is_rejected(direction):
+    J = code_joint_spectrum(LinearCode(f2, ((1, 1),)))
+    with pytest.raises(DomainError):
+        conditional_spectrum(J, direction)
+    with pytest.raises(DomainError):
+        conditional_at(J, TypeVector((0, 1)), direction)
 
 
 def test_compose_rep_chk_is_zero_map():
@@ -526,26 +564,58 @@ def _reference_average(E):
     return {key: mass for key, mass in out.items() if mass}
 
 
+def _permuted(code, rows, cols, offset=None):
+    """code with its rows taken in the order rows and its columns (and
+    offset) in the order cols; offset replaces a missing offset."""
+    gen = tuple(tuple(code.generator[i][j] for j in cols) for i in rows)
+    base = code.offset if code.offset is not None else offset
+    return LinearCode(code.field, gen, None if base is None else tuple(base[j] for j in cols))
+
+
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_ensemble_average_matches_apply_reference(p, r):
     # Linear and affine members, zero-probability members and mixed
     # denominators, against an oracle that shares nothing with the walk.
+    # Permuted copies of members: the walk merges those it finds in one
+    # class.  A copy with only its rows permuted always shares its code's
+    # class; these make a class led by a zero-probability member and a class
+    # of zero-probability members only.  Copies with their columns permuted
+    # too (an affine one, whose offset moves with the columns, and a linear
+    # one given a zero offset in place of None) may or may not be merged.
     field = field_make(p, r)
     q = field.q
     rng = random.Random(q)
-    for n, m in ((1, 1), (2, 3), (1, 4)) if q <= 5 else ((1, 2), (2, 1)):
+    for n, m in ((1, 1), (2, 3), (1, 4), (3, 2)) if q <= 5 else ((1, 2), (2, 1), (2, 2)):
         codes = []
         for i in range(7):
             gen = tuple(tuple(rng.randrange(q) for _ in range(m)) for _ in range(n))
             offset = None if i % 3 == 0 else tuple(rng.randrange(q) for _ in range(m))
             codes.append(LinearCode(field, gen, offset))
-        weights = [0, 3, 1, 0, 2, 5, 1]
-        E = CodeEnsemble(tuple(zip(codes, (Fraction(w, 12) for w in weights))))
+        def shuffled(k):
+            order = list(range(k))
+            rng.shuffle(order)
+            return order
+
+        copies = [
+            _permuted(codes[0], shuffled(n), range(m)),
+            _permuted(codes[1], shuffled(n), shuffled(m)),
+            _permuted(codes[3], shuffled(n), range(m)),
+            _permuted(codes[0], shuffled(n), shuffled(m), (0,) * m),
+        ]
+        for i, copy in ((0, copies[0]), (3, copies[2])):
+            assert spectra._permutation_class(copy) == spectra._permutation_class(codes[i])
+        weights = [Fraction(w, 24) for w in (0, 3, 1, 0, 2, 5, 1)]
+        weights += [Fraction(1, 8), Fraction(1, 6), Fraction(0), Fraction(5, 24)]
+        E = CodeEnsemble(tuple(zip(codes + copies, weights)))
         avg = ensemble_avg_joint_spectrum(E)
         ref = _reference_average(E)
-        assert avg == ref
-        assert list(avg) == list(ref)
+        assert list(avg.items()) == list(ref.items())
         assert sum(avg.values()) == 1
+        # copies of one code with their rows permuted are one class
+        single = [_permuted(codes[1], shuffled(n), range(m)) for _ in range(6)]
+        E = CodeEnsemble(tuple((code, Fraction(1, 6)) for code in single))
+        assert len({spectra._permutation_class(code) for code in single}) == 1
+        assert list(ensemble_avg_joint_spectrum(E).items()) == list(_reference_average(E).items())
 
 
 @pytest.mark.parametrize("field,n,m", [(f2, 2, 3), (f3, 2, 2)], ids=["GF2-2x3", "GF3-2x2"])
