@@ -2,7 +2,7 @@
 MacWilliams transforms, Gabidulin MRD constructions, LDGM ensembles and
 concatenation design."""
 
-from .gf import CycInt, FieldSpec, chi, field_make, mw_matrix
+from .gf import CycInt, FieldSpec, field_make
 from .spectra import (
     CodeEnsemble,
     LinearCode,
@@ -21,9 +21,7 @@ from .spectra import (
 __all__ = [
     "CycInt",
     "FieldSpec",
-    "chi",
     "field_make",
-    "mw_matrix",
     "CodeEnsemble",
     "LinearCode",
     "TypeVector",

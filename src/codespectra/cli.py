@@ -2,8 +2,9 @@
 
 Every subcommand prints JSON to stdout (or --out); matrices travel in the
 plain text format of serialize.matrix_to_text.  A CodeSpectraError becomes
-one JSON line {"error": <class>, "message": ...} on stderr and exit code 2;
-argparse rejects bad option values with exit code 2 as well.
+one JSON line {"error": <class>, "message": ...} on stderr, with the
+"needed" and "limit" of a TooLarge, and exit code 2; argparse rejects bad
+option values with exit code 2 as well.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import designer, ldgm, macwilliams, mrd, serialize
-from .errors import CodeSpectraError, DimensionMismatch, DomainError
+from .errors import CodeSpectraError, DimensionMismatch, DomainError, TooLarge
 from .gf import field_make
 from .spectra import LinearCode, TypeVector, set_spectrum
 
@@ -283,7 +284,7 @@ def build_parser():
     p.add_argument("--q", type=int, help="default: the matrix file's q, else 2")
     p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--matrix")
-    p.add_argument("--samples", type=_int_at_least(0), default=0, help="0 means exact enumeration")
+    p.add_argument("--samples", type=_int_at_least(0), default=0, help="0 means the exact value")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_equivalence)
@@ -302,7 +303,10 @@ def main(argv=None):
     try:
         args.func(args)
     except CodeSpectraError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        report = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, TooLarge):
+            report.update(needed=exc.needed, limit=exc.limit)
+        print(json.dumps(report), file=sys.stderr)
         return 2
     return 0
 

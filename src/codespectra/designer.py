@@ -6,15 +6,13 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import DimensionMismatch, DomainError, TooLarge
+from .errors import DimensionMismatch, DomainError
 from .ldgm import full_rank_probability, kq_product, rho0_and_dq, rho0_of
-from .linalg import matmul, null_space, rref, transpose
+from .linalg import matmul, null_space, rank, rref, transpose
 from .spectra import (
     CodeEnsemble,
-    ENUM_LIMIT,
     LinearCode,
-    PERM_LIMIT,
-    all_vectors,
+    _check_size,
     _graph,
     _span_types,
     alpha_table,
@@ -39,8 +37,7 @@ def compose(outer, inner, perm=None, uniform=False):
         raise DimensionMismatch(f"outer emits length {F.m}, inner expects {G.n}")
     field, mid = F.field, F.m
     if uniform:
-        if mid > PERM_LIMIT:
-            raise TooLarge(f"uniform interleaver expansion capped at {PERM_LIMIT}")
+        _check_size("interleaved coordinates", mid, perm=True)
         perms = list(itertools.permutations(range(mid)))
     else:
         perms = [tuple(perm) if perm is not None else tuple(range(mid))]
@@ -59,11 +56,11 @@ def compose(outer, inner, perm=None, uniform=False):
     return CodeEnsemble(support=tuple(merged.items()), description="concatenation")
 
 
-def outer_weight_window(f, limit=ENUM_LIMIT):
+def outer_weight_window(f):
     """Range of the zero-symbol fraction P(0) over nonzero codewords of f,
     reported as the tightest window around 1/q."""
     q = f.field.q
-    pairs = _span_types(f.field, *_graph(f), limit)
+    pairs = _span_types(f.field, *_graph(f))
     p0s = {Q.prob(0) for (P, Q), _ in pairs if not (P.is_zero_type() or Q.is_zero_type())}
     if not p0s:
         raise DomainError("code has no nonzero codewords")
@@ -138,23 +135,21 @@ def wilson_interval(successes, trials, z=1.96):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _equivalence(F, side, product, invariant, exact, samples, seed, limit):
+def _equivalence(F, side, product, invariant, exact, samples, seed):
     """How often invariant(A) survives A -> product(field, A, M), M a uniform
-    side x side matrix and A the generator of a member of F."""
+    side x side matrix and A the generator of a member of F.
+
+    Exactly, a member of rank r keeps its kernel (G1) or image (G2) iff M is
+    injective on an r-dimensional space; M sends its basis to r independent
+    uniform vectors, linearly independent with probability
+    prod_{i<r} (1 - q^(i - side)) = K(side) / K(side - r), K(k) =
+    kq_product(q, k), so nothing is enumerated."""
     field = F.field
     if exact:
-        count = field.q ** (side * side)
-        if count > limit:
-            raise TooLarge(f"{count} matrices; use exact=False")
         prob = Fraction(0)
         for code, p in F.support:
-            base = invariant(field, code.generator)
-            hits = 0
-            for flat in all_vectors(field, side * side):
-                M = tuple(tuple(flat[i * side : (i + 1) * side]) for i in range(side))
-                if invariant(field, product(field, code.generator, M)) == base:
-                    hits += 1
-            prob += p * Fraction(hits, count)
+            r = rank(field, code.generator)
+            prob += p * kq_product(field.q, side) / kq_product(field.q, side - r)
         return {"probability": prob, "kq": kq_product(field.q, 64), "exact": True}
     rng = random.Random(seed)
     hits = 0
@@ -173,19 +168,19 @@ def _equivalence(F, side, product, invariant, exact, samples, seed, limit):
     }
 
 
-def equivalence_G1(F, exact=True, samples=10**5, seed=0, limit=ENUM_LIMIT):
+def equivalence_G1(F, exact=True, samples=10**5, seed=0):
     """Left-compose F with a uniform square random code on its output side
     and report how often the kernel survives."""
     F = _as_ensemble(F)
-    return _equivalence(F, F.m, matmul, _kernel_basis, exact, samples, seed, limit)
+    return _equivalence(F, F.m, matmul, _kernel_basis, exact, samples, seed)
 
 
-def equivalence_G2(F, exact=True, samples=10**5, seed=0, limit=ENUM_LIMIT):
+def equivalence_G2(F, exact=True, samples=10**5, seed=0):
     """Right-compose F with a uniform square random code on its input side
     and report how often the image survives."""
     F = _as_ensemble(F)
     return _equivalence(
-        F, F.n, lambda field, A, M: matmul(field, M, A), _row_space, exact, samples, seed, limit
+        F, F.n, lambda field, A, M: matmul(field, M, A), _row_space, exact, samples, seed
     )
 
 

@@ -18,7 +18,15 @@ class FieldTooLarge(CodeSpectraError):
 
 
 class TooLarge(CodeSpectraError):
-    pass
+    """An enumeration refused before it starts: `needed` items of `what`
+    exceed `limit`."""
+
+    def __init__(self, what, needed, limit):
+        super().__init__(what, needed, limit)
+        self.what, self.needed, self.limit = what, needed, limit
+
+    def __str__(self):
+        return f"{self.what}: {self.needed} exceeds limit {self.limit}"
 
 
 class EmptySequence(CodeSpectraError):
@@ -42,10 +50,6 @@ class NotARefinement(CodeSpectraError):
 
 
 class NotStochastic(CodeSpectraError):
-    pass
-
-
-class SupportExplosion(CodeSpectraError):
     pass
 
 

@@ -1,9 +1,9 @@
-"""Exact finite-field arithmetic GF(p^r) and additive characters.
+"""Exact finite-field arithmetic GF(p^r) and cyclotomic integers.
 
 Field elements are plain integers in [0, q) encoding the coefficients of the
 polynomial-basis representation in base p (the constant term is the lowest
-digit).  Characters take values in the ring Z[zeta_p], represented exactly by
-CycInt, so character-sum identities can be asserted with equality.
+digit).  CycInt holds Z[zeta_p] exactly; a character value zeta^Tr(x) is
+CycInt.zeta_power(p, field.trace(x)), so character sums compare with equality.
 """
 
 from fractions import Fraction
@@ -384,18 +384,3 @@ def field_make(p, r=1, modulus=None):
         if not is_irreducible(modulus, p):
             raise ReducibleModulus(f"{modulus} is reducible over GF({p})")
     return FieldSpec(p, r, modulus)
-
-
-# ---------------------------------------------------------------------------
-# characters
-
-
-def chi(field, x):
-    """Additive character value zeta^{Tr(x)} as an exact cyclotomic integer."""
-    return CycInt.zeta_power(field.p, field.trace(x))
-
-
-def mw_matrix(field):
-    """The q x q character matrix M with entries chi(a1 * a2)."""
-    q = field.q
-    return [[chi(field, field.mul(a1, a2)) for a2 in range(q)] for a1 in range(q)]

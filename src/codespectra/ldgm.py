@@ -13,13 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, DomainError, SupportViolation, TooLarge
-from .spectra import (
-    CodeEnsemble,
-    LinearCode,
-    TypeVector,
-    type_class_size,
-)
+from .errors import DimensionMismatch, DomainError, SupportViolation
+from .spectra import CodeEnsemble, LinearCode, TypeVector, _check_size, type_class_size
 
 INF = float("inf")
 
@@ -374,7 +369,7 @@ def _edge_count_tables(rows, room, c):
                 yield (row,) + tail
 
 
-def ldgm_ensemble_exact(params, limit=8):
+def ldgm_ensemble_exact(params):
     """Explicit support over every interleaver and multiplier choice.
 
     The L!·(q-1)^L choices are not walked one by one.  An interleaver fixes
@@ -385,11 +380,11 @@ def ldgm_ensemble_exact(params, limit=8):
     is summed over the tables and divided once by L!·(q-1)^L.  The support
     lists codes in order of first appearance over the tables (as
     _edge_count_tables yields them) and, within a table, over the entry
-    values; that is not the order of an interleaver walk.
+    values; that is not the order of an interleaver walk.  The interleaver
+    length L is capped at PERM_LIMIT.
     """
     L = params.mid_len
-    if L > limit:
-        raise TooLarge(f"exact expansion capped at intermediate length {limit}")
+    _check_size("interleaved coordinates", L, perm=True)
     field, c, d = params.field, params.c, params.d
     q, rows, cols = field.q, params.in_len, params.out_len
     # sums[k][v]: how many of the (q-1)^k multiplier tuples add up to v

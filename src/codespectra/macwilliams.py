@@ -12,10 +12,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TooLarge
 from .genfun import GenPoly, genfun_from_joint
 from .linalg import null_space, rref
-from .spectra import ENUM_LIMIT, LinearCode, _graph, _span_types, code_joint_spectrum, partition_make
+from .spectra import LinearCode, _check_size, _graph, _span_types, code_joint_spectrum, partition_make
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,9 @@ def random_subspace(field, n, seed):
     return subspace_from_rows(field, rows, n)
 
 
-def enumerate_subspace(A, limit=ENUM_LIMIT):
+def enumerate_subspace(A):
     """Members sum_i x_i basis_i of A, in all_vectors order of x."""
-    if A.size > limit:
-        raise TooLarge(f"|A| = {A.size} exceeds limit {limit}")
+    _check_size("subspace members", A.size)
     members = [(0,) * A.n]
     for row in A.basis:
         multiples = [tuple(A.field.mul(c, a) for a in row) for c in A.field.elements]
@@ -124,7 +122,7 @@ def _mw_kernel(field, counts, divisor):
     return out
 
 
-def mw_transform(A, partition=None, limit=ENUM_LIMIT):
+def mw_transform(A, partition=None):
     """Generating function of the dual of A by the MacWilliams identity.
 
     Counts the members of A by type (per block of a coordinate partition, if
@@ -139,12 +137,12 @@ def mw_transform(A, partition=None, limit=ENUM_LIMIT):
     else:
         blocks = partition_make(partition, A.n)
         vars = tuple((("u", b), a) for b in range(len(blocks)) for a in range(q))
-    types = _span_types(field, A.basis, None, blocks, limit)
+    types = _span_types(field, A.basis, None, blocks)
     counts = {sum((P.counts for P in key), ()): c for key, c in types}
     return GenPoly(vars, _mw_kernel(field, counts, q**A.n))
 
 
-def mw_joint_transpose(field, A, limit=ENUM_LIMIT):
+def mw_joint_transpose(field, A):
     """Joint generating function of -g, g(y) = y A^T, from that of f(x) = x A.
 
     The MacWilliams substitution on both variable blocks of the joint genfun
@@ -153,7 +151,7 @@ def mw_joint_transpose(field, A, limit=ENUM_LIMIT):
     """
     q = field.q
     f = LinearCode(field, tuple(tuple(r) for r in A))
-    counts = {P.counts + Q.counts: c for (P, Q), c in _span_types(field, *_graph(f), limit)}
+    counts = {P.counts + Q.counts: c for (P, Q), c in _span_types(field, *_graph(f))}
     vars = tuple(("u", a) for a in range(q)) + tuple(("v", a) for a in range(q))
     return GenPoly(vars, _mw_kernel(field, counts, q ** (f.n + f.m)))
 
@@ -165,7 +163,7 @@ def neg_transpose_code(field, A):
     return LinearCode(field, gen)
 
 
-def joint_transpose_reference(field, A, limit=ENUM_LIMIT):
+def joint_transpose_reference(field, A):
     """Directly enumerated joint genfun of -g, variables matching the transform."""
     h = neg_transpose_code(field, A)
-    return genfun_from_joint(code_joint_spectrum(h, limit), block_x="v", block_y="u")
+    return genfun_from_joint(code_joint_spectrum(h), block_x="v", block_y="u")

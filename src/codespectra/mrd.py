@@ -11,16 +11,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimensionMismatch, DomainError, NotSCCGood, TooLarge
+from .errors import DimensionMismatch, DomainError, NotSCCGood
 from .gf import field_make
 from .linalg import inverse, matvec, rank, transpose
-from .spectra import (
-    CodeEnsemble,
-    ENUM_LIMIT,
-    LinearCode,
-    all_vectors,
-    point_distribution,
-)
+from .spectra import CodeEnsemble, LinearCode, _check_size, all_vectors, point_distribution
 
 
 @dataclass(frozen=True)
@@ -98,10 +92,8 @@ def gabidulin_encode(spec, message):
     return MatrixCodeword(mat, rank(spec.base, mat))
 
 
-def enumerate_code(spec, limit=ENUM_LIMIT):
-    size = spec.ext.q**spec.k
-    if size > limit:
-        raise TooLarge(f"|C| = {size} exceeds limit {limit}")
+def enumerate_code(spec):
+    _check_size("codewords", spec.ext.q**spec.k)
     return [gabidulin_encode(spec, msg) for msg in all_vectors(spec.ext, spec.k)]
 
 
@@ -130,8 +122,8 @@ def min_rank_distance(code, linear=True, field=None):
     return best
 
 
-def verify_mrd(spec, limit=ENUM_LIMIT):
-    code = enumerate_code(spec, limit)
+def verify_mrd(spec):
+    code = enumerate_code(spec)
     m_prime = min(spec.n, spec.m)
     n_prime = max(spec.n, spec.m)
     distinct = len({cw.entries for cw in code})
@@ -147,9 +139,9 @@ def verify_mrd(spec, limit=ENUM_LIMIT):
     }
 
 
-def gabidulin_ensemble(spec, offset=None, limit=ENUM_LIMIT):
+def gabidulin_ensemble(spec, offset=None):
     """Uniform random code over the codeword matrices (or a coset of them)."""
-    code = enumerate_code(spec, limit)
+    code = enumerate_code(spec)
     p = Fraction(1, len(code))
     field = spec.base
     support = []
@@ -164,39 +156,35 @@ def gabidulin_ensemble(spec, offset=None, limit=ENUM_LIMIT):
     return CodeEnsemble(support=tuple(support), description="gabidulin ensemble")
 
 
-def verify_scc(E, limit=ENUM_LIMIT):
+def _first_nonuniform(E):
+    """The first (x, y, probability) with x != 0 and P{F(x) = y} != q^-m, in
+    all_vectors order of x then y, or None when every such F(x) is uniform."""
+    field, target = E.field, Fraction(1, E.field.q**E.m)
+    for x in all_vectors(field, E.n):
+        if any(x):
+            dist = point_distribution(E, x)
+            for y in all_vectors(field, E.m):
+                got = dist.get(y, Fraction(0))
+                if got != target:
+                    return x, y, got
+    return None
+
+
+def verify_scc(E):
     """Check that every nonzero input maps exactly uniformly onto GF(q)^m.
 
     Raises NotSCCGood with a witness (x, y, probability) on the first
     violation.  The report also records whether the column maps y -> A y^T
     are uniform over GF(q)^n for y != 0.
     """
-    field, n, m = E.field, E.n, E.m
-    if field.q**n * field.q**m > limit:
-        raise TooLarge("input/output enumeration too large")
-    target = Fraction(1, field.q**m)
-    for x in all_vectors(field, n):
-        if not any(x):
-            continue
-        dist = point_distribution(E, x)
-        for y in all_vectors(field, m):
-            got = dist.get(y, Fraction(0))
-            if got != target:
-                raise NotSCCGood((x, y, got))
-    # column property: A y^T for y != 0 should be uniform over GF(q)^n
-    col_target = Fraction(1, field.q**n)
+    _check_size("inputs and outputs q^(n+m)", E.field.q ** (E.n + E.m))
+    witness = _first_nonuniform(E)
+    if witness is not None:
+        raise NotSCCGood(witness)
     columns = CodeEnsemble(
-        tuple((LinearCode(field, transpose(code.generator)), p) for code, p in E.support)
+        tuple((LinearCode(E.field, transpose(code.generator)), p) for code, p in E.support)
     )
-    column_ok = True
-    for y in all_vectors(field, m):
-        if not any(y):
-            continue
-        dist = point_distribution(columns, y)
-        if any(dist.get(v, 0) != col_target for v in all_vectors(field, n)):
-            column_ok = False
-            break
-    return {"scc_good": True, "column_uniform": column_ok}
+    return {"scc_good": True, "column_uniform": _first_nonuniform(columns) is None}
 
 
 def kernel_stats(E):

