@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .genfun import GenPoly, genfun_from_joint
 from .linalg import null_space, rref
-from .spectra import LinearCode, _check_size, _graph, _span_types, code_joint_spectrum, partition_make
+from .spectra import LinearCode, _check_size, _graph, _span_types, _span_walk, code_joint_spectrum, partition_make
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,7 @@ def random_subspace(field, n, seed):
 def enumerate_subspace(A):
     """Members sum_i x_i basis_i of A, in all_vectors order of x."""
     _check_size("subspace members", A.size)
-    members = [(0,) * A.n]
-    for row in A.basis:
-        multiples = [tuple(A.field.mul(c, a) for a in row) for c in A.field.elements]
-        members = [tuple(map(A.field.add, v, m)) for v in members for m in multiples]
-    return members
+    return _span_walk(A.field, (0,) * A.n, A.basis)
 
 
 def orthogonal(A):

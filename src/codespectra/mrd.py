@@ -5,6 +5,10 @@ polynomial (q-power analogue of Reed-Solomon evaluation) at points of
 GF(q^{n'}) that are linearly independent over GF(q), then expanding each
 value to a coordinate column.  The base field is restricted to prime q here;
 every worked case and test uses q in {2, 3}.
+
+The code is GF(q)-linear, so gabidulin_ensemble is the span of k·n' basis
+codewords (E.span), and verify_scc certifies span ensembles by rank (xA is
+uniform on a coset of the row space of the x·B_i); others it enumerates.
 """
 
 import random
@@ -14,7 +18,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch, DomainError, NotSCCGood
 from .gf import field_make
 from .linalg import inverse, matvec, rank, transpose
-from .spectra import CodeEnsemble, LinearCode, _check_size, all_vectors, point_distribution
+from .spectra import CodeEnsemble, LinearCode, _check_size, _span_ensemble, all_vectors, point_distribution
 
 
 @dataclass(frozen=True)
@@ -93,8 +97,8 @@ def gabidulin_encode(spec, message):
 
 
 def enumerate_code(spec):
-    _check_size("codewords", spec.ext.q**spec.k)
-    return [gabidulin_encode(spec, msg) for msg in all_vectors(spec.ext, spec.k)]
+    """Every codeword, in all_vectors order of the message."""
+    return [MatrixCodeword(c.generator, rank(spec.base, c.generator)) for c, _ in gabidulin_ensemble(spec).support]
 
 
 def sample_code(spec, seed):
@@ -140,20 +144,17 @@ def verify_mrd(spec):
 
 
 def gabidulin_ensemble(spec, offset=None):
-    """Uniform random code over the codeword matrices (or a coset of them)."""
-    code = enumerate_code(spec)
-    p = Fraction(1, len(code))
-    field = spec.base
-    support = []
-    for cw in code:
-        mat = cw.entries
-        if offset is not None:
-            mat = tuple(
-                tuple(field.add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(mat, offset)
-            )
-        support.append((LinearCode(field, mat), p))
-    return CodeEnsemble(support=tuple(support), description="gabidulin ensemble")
+    """Uniform random code over the codeword matrices (or a coset of them), walked
+    as the span of the codewords of the k·n' GF(q)-basis messages: symbol j, then
+    digit q^i with i descending, so that the messages come in all_vectors order."""
+    k, q = spec.k, spec.base.q
+    span = [
+        gabidulin_encode(spec, (0,) * j + (q**i,) + (0,) * (k - 1 - j)).entries
+        for j in range(k)
+        for i in reversed(range(max(spec.n, spec.m)))
+    ]
+    zero = ((0,) * spec.m,) * spec.n
+    return _span_ensemble(spec.base, offset or zero, span, "gabidulin ensemble")
 
 
 def _first_nonuniform(E):
@@ -170,21 +171,43 @@ def _first_nonuniform(E):
     return None
 
 
+def _first_deficient(field, span, offset):
+    """_first_nonuniform's witness on offset + span(span), uniform: the first x != 0
+    whose x·B have rank r < m, y = 0, q^-r if x·offset is in their row space, else 0."""
+    m = len(offset[0])
+    for x in all_vectors(field, len(offset)):
+        if any(x):
+            rows = [matvec(field, x, B) for B in span]
+            r = rank(field, rows)
+            if r < m:
+                inside = rank(field, rows + [matvec(field, x, offset)]) == r
+                return x, (0,) * m, Fraction(int(inside), field.q**r)
+    return None
+
+
 def verify_scc(E):
     """Check that every nonzero input maps exactly uniformly onto GF(q)^m.
 
     Raises NotSCCGood with a witness (x, y, probability) on the first
     violation.  The report also records whether the column maps y -> A y^T
-    are uniform over GF(q)^n for y != 0.
+    are uniform over GF(q)^n for y != 0.  With E.span the check is by rank,
+    otherwise by (q^n - 1 + q^m - 1)·|support| member applications.
     """
-    _check_size("inputs and outputs q^(n+m)", E.field.q ** (E.n + E.m))
-    witness = _first_nonuniform(E)
+    field, q = E.field, E.field.q
+    _check_size("inputs and outputs q^(n+m)", q ** (E.n + E.m))
+    if E.span is None:
+        _check_size("point applications", (q**E.n - 1 + q**E.m - 1) * len(E.support))
+        witness = _first_nonuniform(E)
+        columns = lambda: _first_nonuniform(
+            CodeEnsemble(tuple((LinearCode(field, transpose(c.generator)), p) for c, p in E.support))
+        )
+    else:
+        O = E.support[0][0].generator
+        witness = _first_deficient(field, E.span, O)
+        columns = lambda: _first_deficient(field, [transpose(B) for B in E.span], transpose(O))
     if witness is not None:
         raise NotSCCGood(witness)
-    columns = CodeEnsemble(
-        tuple((LinearCode(E.field, transpose(code.generator)), p) for code, p in E.support)
-    )
-    return {"scc_good": True, "column_uniform": _first_nonuniform(columns) is None}
+    return {"scc_good": True, "column_uniform": columns() is None}
 
 
 def kernel_stats(E):

@@ -19,7 +19,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import (
@@ -197,10 +197,13 @@ class LinearCode:
 
 @dataclass(frozen=True)
 class CodeEnsemble:
-    """Random linear code given by its explicit (code, probability) support."""
+    """Random linear code given by its explicit (code, probability) support;
+    span, set only by _span_ensemble, holds B_1..B_K such that the support is
+    support[0] + span(B), uniform, in all_vectors coefficient order."""
 
     support: tuple
     description: str = ""
+    span: tuple = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = sum(p for _, p in self.support)
@@ -249,14 +252,31 @@ def single_code_ensemble(code):
 
 
 def all_matrices_ensemble(field, n, m):
-    count = field.q ** (n * m)
-    _check_size("matrices", count)
-    p = Fraction(1, count)
-    support = []
-    for flat in all_vectors(field, n * m):
-        gen = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
-        support.append((LinearCode(field, gen), p))
-    return CodeEnsemble(support=tuple(support), description=f"all {n}x{m} matrices")
+    units = [tuple(tuple(int(i * m + j == u) for j in range(m)) for i in range(n)) for u in range(n * m)]
+    return _span_ensemble(field, ((0,) * m,) * n, units, f"all {n}x{m} matrices")
+
+
+def _span_walk(field, start, rows):
+    """start + sum_i x_i rows_i for every x, in all_vectors order of x."""
+    members = [start]
+    for row in rows:
+        multiples = [tuple(field.mul(c, a) for a in row) for c in field.elements]
+        members = [tuple(map(field.add, v, w)) for v in members for w in multiples]
+    return members
+
+
+def _span_ensemble(field, offset, span, description):
+    """Uniform on offset + span(B) (n x m matrices B), in all_vectors order of the
+    coefficients: the one constructor that sets CodeEnsemble.span."""
+    _check_size("span members", field.q ** len(span))
+    flat = lambda M: tuple(itertools.chain.from_iterable(M))
+    m = len(offset[0])
+    members = _span_walk(field, flat(offset), [flat(B) for B in span])
+    p = Fraction(1, len(members))
+    support = tuple((LinearCode(field, tuple(v[i : i + m] for i in range(0, len(v), m))), p) for v in members)
+    E = CodeEnsemble(support, description)
+    object.__setattr__(E, "span", tuple(span))
+    return E
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +572,12 @@ def rho(E):
 
 
 def joint_marginal(J, axis):
-    out = {}
-    for (P, Q), mass in J.items():
-        key = P if axis == 0 else Q
-        out[key] = out.get(key, 0) + mass
-    return out
+    """Marginal on P (axis 0) or Q (axis 1), as integers over the lcm of J's denominators."""
+    scale = math.lcm(*(mass.denominator for mass in J.values()))
+    sums = {}
+    for key, mass in J.items():
+        sums[key[axis]] = sums.get(key[axis], 0) + mass.numerator * (scale // mass.denominator)
+    return {key: Fraction(s, scale) for key, s in sums.items()}
 
 
 def _given_axis(direction):

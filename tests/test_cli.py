@@ -75,6 +75,29 @@ def test_gabidulin_verify_kernel(capsys):
     assert out["p_trivial_kernel"] == "3/8"
 
 
+@pytest.mark.parametrize("q,k", [(2, 1), (3, 2)])
+def test_gabidulin_verify_scc(capsys, q, k):
+    from codespectra.mrd import gabidulin_ensemble, gabidulin_make, verify_scc
+    from codespectra.spectra import CodeEnsemble
+
+    argv = ["gabidulin", "--q", str(q), "--n", "2", "--m", "2", "--k", str(k), "--verify", "scc"]
+    out = json.loads(_run(capsys, argv))
+    # the same support without its span is checked by enumeration
+    E = gabidulin_ensemble(gabidulin_make(q, 2, 2, k))
+    assert out == verify_scc(CodeEnsemble(E.support, E.description))
+    assert out == {"scc_good": True, "column_uniform": True}
+
+
+@pytest.mark.parametrize("verify", ["scc", "kernel"])
+def test_gabidulin_ensemble_of_2_to_the_32_is_refused(capsys, verify):
+    argv = ["gabidulin", "--q", "2", "--n", "8", "--m", "8", "--k", "4", "--verify", verify]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    report = json.loads(err)
+    assert out == "" and report["error"] == "TooLarge"
+    assert (report["needed"], report["limit"]) == (2**32, 2**20)
+
+
 def test_gabidulin_emit(capsys):
     out = _run(capsys, ["gabidulin", "--q", "2", "--n", "2", "--m", "2", "--k", "1", "--emit"])
     blocks = [b for b in out.strip().split("\n\n")]

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from codespectra import mrd, spectra
 from codespectra.errors import DimensionMismatch, DomainError, NotSCCGood
+from codespectra.gf import field_make
 from codespectra.mrd import (
     enumerate_code,
     gabidulin_encode,
@@ -14,7 +17,7 @@ from codespectra.mrd import (
     verify_mrd,
     verify_scc,
 )
-from codespectra.spectra import all_matrices_ensemble
+from codespectra.spectra import CodeEnsemble, LinearCode, all_matrices_ensemble, all_vectors
 
 
 def test_binary_2x2_k1_codewords():
@@ -212,3 +215,161 @@ def test_basis_of_the_wrong_length_is_rejected(basis):
     # accepted and then fail inside enumerate_code
     with pytest.raises(ValueError, match="basis"):
         gabidulin_make(2, 4, 4, 2, basis=basis)
+
+
+# ---------------------------------------------------------------------------
+# SCC by rank on span ensembles, against the enumeration of the same support
+
+
+def _scc_outcome(E):
+    """verify_scc's report, or its NotSCCGood witness."""
+    try:
+        return verify_scc(E)
+    except NotSCCGood as exc:
+        return ("NotSCCGood", exc.witness)
+
+
+def _brute_outcome(E):
+    # the same support without a span takes the point_distribution path
+    plain = CodeEnsemble(E.support, E.description)
+    assert plain.span is None
+    return _scc_outcome(plain)
+
+
+def _assert_certificate_matches_enumeration(E):
+    got, want = _scc_outcome(E), _brute_outcome(E)
+    assert repr(got) == repr(want)
+    return got
+
+
+def _span_coset(field, span, offset):
+    return spectra._span_ensemble(field, offset, span, "span coset")
+
+
+def _random_matrix(rng, q, n, m):
+    return tuple(tuple(rng.randrange(q) for _ in range(m)) for _ in range(n))
+
+
+# every shape with q^(k·n') <= 4096 and n, m <= 4: past that the enumeration
+# needs more than ENUM_LIMIT point applications (4096 x 4096 at 1 x 12)
+_SPAN_SHAPES = [
+    (q, n, m, k)
+    for q in (2, 3)
+    for n in range(1, 5)
+    for m in range(1, 5)
+    for k in range(1, min(n, m) + 1)
+    if q ** (k * max(n, m)) <= 4096
+]
+
+
+def _encoded_messages(spec):
+    # every codeword encoded from its own message, in all_vectors order
+    return [gabidulin_encode(spec, msg) for msg in all_vectors(spec.ext, spec.k)]
+
+
+def _enumerated_gabidulin(spec, offset=None):
+    # the reference: one encoded codeword per message, the offset added entrywise
+    code = _encoded_messages(spec)
+    support = []
+    for cw in code:
+        mat = cw.entries
+        if offset is not None:
+            mat = tuple(
+                tuple(spec.base.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(mat, offset)
+            )
+        support.append((LinearCode(spec.base, mat), Fraction(1, len(code))))
+    return CodeEnsemble(tuple(support), "gabidulin ensemble")
+
+
+@pytest.mark.parametrize("q,n,m,k", _SPAN_SHAPES)
+def test_gabidulin_certificate_matches_enumeration(q, n, m, k):
+    spec = gabidulin_make(q, n, m, k)
+    offset = _random_matrix(random.Random(f"{q}{n}{m}{k}"), q, n, m)
+    for off in (None, offset):
+        E = gabidulin_ensemble(spec, offset=off)
+        assert len(E.span) == k * max(n, m)
+        assert E.support == _enumerated_gabidulin(spec, off).support
+        assert E.description == "gabidulin ensemble"
+        report = _assert_certificate_matches_enumeration(E)
+        assert report["scc_good"]
+    # the span walk lists the codewords, ranks included, as encoding each message does
+    assert enumerate_code(spec) == _encoded_messages(spec)
+
+
+def test_span_order_at_random_points():
+    # points other than the polynomial basis, and the transposed (m > n) case
+    for q, n, m, k, points in [(2, 4, 3, 2, (3, 6, 13)), (2, 3, 4, 1, (5, 6, 7)), (3, 3, 2, 1, (4, 11))]:
+        spec = gabidulin_make(q, n, m, k, points=points)
+        assert gabidulin_ensemble(spec).support == _enumerated_gabidulin(spec).support
+        assert enumerate_code(spec) == _encoded_messages(spec)
+
+
+@pytest.mark.parametrize("q,shape", [(q, s) for q in (2, 3) for s in ((1, 2), (2, 2), (2, 3), (3, 2))])
+def test_rank_deficient_sub_spans_give_the_enumerated_witness(q, shape):
+    # random sub-spans (dependent ones too) of random matrices, linear and
+    # coset: the witness (x, 0, q^-r or 0) must be the enumeration's
+    field = field_make(q)
+    n, m = shape
+    rng = random.Random(f"{q}{shape}")
+    seen = set()
+    for trial in range(12):
+        size = rng.randrange(0, n * m + 1)
+        span = [_random_matrix(rng, q, n, m) for _ in range(size)]
+        if trial % 3 == 0 and span:
+            span.append(span[0])  # a dependent member
+        offset = ((0,) * m,) * n if trial % 2 else _random_matrix(rng, q, n, m)
+        if q ** len(span) > 729:
+            span = span[:6]
+        got = _assert_certificate_matches_enumeration(_span_coset(field, span, offset))
+        seen.add("pass" if isinstance(got, dict) else "zero" if got[1][2] == 0 else "mass")
+    assert seen >= {"zero", "mass"}
+
+
+def test_coset_witness_with_zero_probability():
+    # span{e_11}: the first x, (0, 1), has x·B_1 = 0 (rank 0 < 2), and x·O =
+    # (0, 1) lies outside {0}, so P{F(x) = 0} = 0; without O it is q^0 = 1
+    f2 = field_make(2)
+    E = _span_coset(f2, [((1, 0), (0, 0))], ((0, 0), (0, 1)))
+    assert _assert_certificate_matches_enumeration(E) == ("NotSCCGood", ((0, 1), (0, 0), Fraction(0)))
+    linear = _span_coset(f2, [((1, 0), (0, 0))], ((0, 0), (0, 0)))
+    assert _assert_certificate_matches_enumeration(linear) == (
+        "NotSCCGood",
+        ((0, 1), (0, 0), Fraction(1)),
+    )
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3)])
+def test_all_matrices_certificate_matches_enumeration(p, r, n, m):
+    E = all_matrices_ensemble(field_make(p, r), n, m)
+    # every matrix in all_vectors order of its row-major entries
+    flats = [tuple(v[i : i + m] for i in range(0, n * m, m)) for v in all_vectors(E.field, n * m)]
+    assert [code.generator for code, _ in E.support] == flats
+    assert _assert_certificate_matches_enumeration(E) == {"scc_good": True, "column_uniform": True}
+
+
+def test_span_ensembles_never_enumerate(monkeypatch):
+    def refuse(E, x):
+        raise AssertionError("point_distribution called on a span ensemble")
+
+    monkeypatch.setattr(mrd, "point_distribution", refuse)
+    assert verify_scc(gabidulin_ensemble(gabidulin_make(2, 4, 4, 2)))["scc_good"]
+    assert verify_scc(all_matrices_ensemble(field_make(3), 2, 3))["column_uniform"]
+    # 65,536 members: enumerating would need 30 applications of each, past ENUM_LIMIT
+    assert verify_scc(all_matrices_ensemble(field_make(2), 4, 4)) == {"scc_good": True, "column_uniform": True}
+    with pytest.raises(NotSCCGood):
+        verify_scc(_span_coset(field_make(2), [((1, 0), (0, 1))], ((0, 0), (0, 0))))
+    # explicit supports still enumerate
+    with pytest.raises(AssertionError, match="point_distribution"):
+        verify_scc(CodeEnsemble(all_matrices_ensemble(field_make(2), 1, 1).support))
+
+
+def test_randomize_and_compose_drop_the_span():
+    from codespectra.designer import compose
+    from codespectra.spectra import randomize
+
+    E = gabidulin_ensemble(gabidulin_make(2, 2, 2, 1))
+    assert randomize(E, "in").span is None
+    assert compose(E, all_matrices_ensemble(E.field, 2, 1), uniform=True).span is None
+    assert CodeEnsemble(E.support).span is None
+    assert E == CodeEnsemble(E.support, E.description) and "span" not in repr(E)

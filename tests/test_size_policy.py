@@ -6,6 +6,7 @@ takes a limit of its own."""
 import importlib
 import inspect
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ import codespectra
 from codespectra import designer, ldgm, macwilliams, mrd, spectra
 from codespectra.errors import TooLarge
 from codespectra.gf import field_make
-from codespectra.spectra import PERM_LIMIT, LinearCode, single_code_ensemble
+from codespectra.spectra import PERM_LIMIT, CodeEnsemble, LinearCode, single_code_ensemble
 
 f2 = field_make(2)
 
@@ -76,6 +77,11 @@ _REFUSALS = {
         False,
     ),
     "verify_scc": (lambda: mrd.verify_scc(single_code_ensemble(_code(11, 10))), False),
+    # 4 x 5 passes q^(n+m) = 2^9, but 2^15 members x (2^4 - 1 + 2^5 - 1) inputs do not
+    "verify_scc work": (
+        lambda: mrd.verify_scc(CodeEnsemble(((_code(4, 5), Fraction(1, 2**15)),) * 2**15)),
+        False,
+    ),
     "randomize": (
         lambda: spectra.randomize(single_code_ensemble(_code(PERM_LIMIT + 1, 1)), "in"),
         True,

@@ -265,6 +265,36 @@ def test_unknown_direction_is_rejected(direction):
         conditional_at(J, TypeVector((0, 1)), direction)
 
 
+def _joint_marginal_by_fraction_sum(J, axis):
+    out = {}
+    for (P, Q), mass in J.items():
+        key = P if axis == 0 else Q
+        out[key] = out.get(key, Fraction(0)) + mass
+    return out
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_joint_marginal_matches_fraction_sum(p, r):
+    # integer numerators over the lcm: the same values, Fraction types and key
+    # order as summing Fraction by Fraction, on both axes
+    field = field_make(p, r)
+    q = field.q
+    rng = random.Random(q)
+    n = 3 if q <= 4 else 2
+    rows = tuple(tuple(rng.randrange(q) for _ in range(n + 1)) for _ in range(n))
+    code = LinearCode(field, rows)
+    shifted = LinearCode(field, rows, tuple(rng.randrange(q) for _ in range(n + 1)))
+    zero = LinearCode(field, ((0,) * (n + 1),) * n)
+    # weights over 3, 6 and 2 mix with the q-power denominators of the spectra
+    E = CodeEnsemble(((code, Fraction(1, 3)), (shifted, Fraction(1, 6)), (zero, Fraction(1, 2))))
+    mixed = {key: Fraction(i % 4, 7 * (i % 5 + 1)) for i, key in enumerate(code_joint_spectrum(code))}
+    for J in (code_joint_spectrum(code), ensemble_avg_joint_spectrum(E), mixed, {}):
+        for axis in (0, 1):
+            got = spectra.joint_marginal(J, axis)
+            assert list(got.items()) == list(_joint_marginal_by_fraction_sum(J, axis).items())
+            assert all(type(v) is Fraction for v in got.values())
+
+
 def test_compose_rep_chk_is_zero_map():
     rep = single_code_ensemble(LinearCode(f2, ((1, 1),)))
     chk = single_code_ensemble(LinearCode(f2, ((1,), (1,))))
