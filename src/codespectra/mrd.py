@@ -74,13 +74,11 @@ def gabidulin_make(q, n, m, k, points=None, basis=None):
     return GabidulinSpec(base, ext, n, m, k, points, basis, transposed=m > n, coords=coords)
 
 
-def gabidulin_encode(spec, message):
-    """Evaluate the linearized polynomial sum_i m_i x^{q^i} at each point and
-    expand the values to coordinate columns."""
+def _evaluate(spec, message):
+    """The n x m entries of message's codeword: the linearized polynomial
+    sum_i m_i x^{q^i} at each point, expanded to coordinate columns."""
     ext = spec.ext
     q = spec.base.q
-    if len(message) != spec.k:
-        raise DimensionMismatch(f"message has {len(message)} symbols, the code has k = {spec.k}")
     cols = []
     for x in spec.points:
         acc = 0
@@ -91,8 +89,14 @@ def gabidulin_encode(spec, message):
         cols.append(spec.coords[acc])
     # cols: m' columns of length n'; rows of the matrix are the basis coords
     mat = tuple(tuple(col[i] for col in cols) for i in range(len(spec.basis)))
-    if spec.transposed:
-        mat = tuple(zip(*mat))
+    return tuple(zip(*mat)) if spec.transposed else mat
+
+
+def gabidulin_encode(spec, message):
+    """The codeword of message (_evaluate) with its rank."""
+    if len(message) != spec.k:
+        raise DimensionMismatch(f"message has {len(message)} symbols, the code has k = {spec.k}")
+    mat = _evaluate(spec, message)
     return MatrixCodeword(mat, rank(spec.base, mat))
 
 
@@ -149,7 +153,7 @@ def gabidulin_ensemble(spec, offset=None):
     digit q^i with i descending, so that the messages come in all_vectors order."""
     k, q = spec.k, spec.base.q
     span = [
-        gabidulin_encode(spec, (0,) * j + (q**i,) + (0,) * (k - 1 - j)).entries
+        _evaluate(spec, (0,) * j + (q**i,) + (0,) * (k - 1 - j))
         for j in range(k)
         for i in reversed(range(max(spec.n, spec.m)))
     ]

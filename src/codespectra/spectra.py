@@ -9,6 +9,14 @@ basis for those spectra.  An ensemble average walks its whole support at
 once: the graphs of all members share their inputs x, so one span of the
 stacked rows [I | A_1 | ... | A_M] counts every (member, x) pair.
 
+TypeVector is a NamedTuple, so spectrum keys hash and compare in C.  The
+walk's packed keys are decoded through one _Decoder per (block base, q),
+kept for the life of the process and holding only the types decoded.  The
+explicit-set layer (set_spectrum, u_set_spectrum, and _span_walk behind
+enumerate_subspace and the span ensembles) runs in C-level loops of its own
+and shares no code with the packed walk, so it stays an independent
+reference for it.
+
 Every exhaustive enumeration of the package is sized by one guard,
 _check_size: past ENUM_LIMIT items, or PERM_LIMIT permuted coordinates, it
 raises TooLarge(what, needed, limit) before expanding anything.
@@ -21,6 +29,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -46,12 +55,13 @@ def _check_size(what, needed, perm=False):
         raise TooLarge(what, needed, limit)
 
 
-@dataclass(frozen=True)
-class TypeVector:
+class TypeVector(NamedTuple):
     """Empirical distribution of a sequence, stored as symbol counts.
 
     counts is indexed by the field's element order (0..q-1), so two sequences
-    have the same type iff their TypeVectors compare equal.
+    have the same type iff their TypeVectors compare equal.  A TypeVector is
+    the tuple (counts,): it hashes and compares in C, equals that plain
+    1-tuple and orders like it.
     """
 
     counts: tuple
@@ -76,13 +86,15 @@ def zero_type(n, q):
 
 
 def type_of(seq, field):
+    """Type of seq over field, counted with tuple.count; DomainError if a
+    symbol lies outside 0..q-1."""
     seq = tuple(seq)
     if not seq:
         raise EmptySequence("cannot take the type of an empty sequence")
-    counts = [0] * field.q
-    for a in seq:
-        counts[a] += 1
-    return TypeVector(tuple(counts))
+    counts = tuple(map(seq.count, field.elements))
+    if sum(counts) != len(seq):
+        raise DomainError(f"{seq} has a symbol outside 0..{field.q - 1}")
+    return TypeVector(counts)
 
 
 def enumerate_types(n, field):
@@ -121,11 +133,17 @@ def space_spectrum(n, field):
 
 
 def set_spectrum(A, field):
+    """Spectrum of the explicit set A: vectors are counted by their sorted
+    symbols, and each distinct one is typed once, in first-seen order."""
     A = list(A)
     if not A:
         raise EmptySet("spectrum of an empty set")
-    counts = Counter(type_of(x, field) for x in A)
-    return {P: Fraction(c, len(A)) for P, c in counts.items()}
+    counts = Counter(map(tuple, map(sorted, A)))
+    masses = {}
+    return {
+        type_of(s, field): masses.get(c) or masses.setdefault(c, Fraction(c, len(A)))
+        for s, c in counts.items()
+    }
 
 
 def partition_make(blocks, n):
@@ -146,16 +164,22 @@ def partition_make(blocks, n):
 def u_set_spectrum(A, field, partition):
     """Spectrum refined per block of a coordinate partition.
 
-    Keys are tuples of TypeVectors, one per block in partition order.
+    Keys are tuples of TypeVectors, one per block in partition order.  Each
+    vector is keyed by its sorted symbols per block, read off the transposed
+    set, and each distinct key is typed once.
     """
     A = list(A)
     if not A:
         raise EmptySet("spectrum of an empty set")
     partition = partition_make(partition, len(A[0]))
-    counts = Counter(
-        tuple(type_of([x[i] for i in block], field) for block in partition) for x in A
-    )
-    return {key: Fraction(c, len(A)) for key, c in counts.items()}
+    columns = list(zip(*A))
+    keys = [map(tuple, map(sorted, zip(*map(columns.__getitem__, block)))) for block in partition]
+    counts = Counter(zip(*keys)) if keys else {(): len(A)}
+    typed, masses = functools.cache(lambda s: type_of(s, field)), {}
+    return {
+        tuple(map(typed, key)): masses.get(c) or masses.setdefault(c, Fraction(c, len(A)))
+        for key, c in counts.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +280,30 @@ def all_matrices_ensemble(field, n, m):
     return _span_ensemble(field, ((0,) * m,) * n, units, f"all {n}x{m} matrices")
 
 
+@functools.cache
+def _shift_tables(field):
+    """tables[a][v] = (v + c a for c in field.elements), for every a and v."""
+    return tuple(
+        tuple(tuple(field.add(v, field.mul(c, a)) for c in field.elements) for v in field.elements)
+        for a in field.elements
+    )
+
+
 def _span_walk(field, start, rows):
-    """start + sum_i x_i rows_i for every x, in all_vectors order of x."""
-    members = [start]
-    for row in rows:
-        multiples = [tuple(field.mul(c, a) for a in row) for c in field.elements]
-        members = [tuple(map(field.add, v, w)) for v in members for w in multiples]
-    return members
+    """start + sum_i x_i rows_i for every x, in all_vectors order of x.  Each
+    coordinate's column grows one row at a time, each entry v becoming
+    v + c row_i[j] for every c through _shift_tables; the columns are then
+    zipped into the members."""
+    if not start:
+        return [start] * field.q ** len(rows)
+    tables = _shift_tables(field)
+    columns = []
+    for j, s in enumerate(start):
+        column = [s]
+        for row in rows:
+            column = list(itertools.chain.from_iterable(map(tables[row[j]].__getitem__, column)))
+        columns.append(column)
+    return list(zip(*columns))
 
 
 def _span_ensemble(field, offset, span, description):
@@ -443,14 +484,33 @@ def _type_counter(field, blocks):
     return count
 
 
+class _Decoder(dict):
+    """part -> TypeVector for the per-block parts sum_y c_y base^y of one
+    (base, q) shape, each built on its first lookup."""
+
+    def __init__(self, base, q):
+        self.base, self.powers = base, [base**a for a in range(q)]
+
+    def __missing__(self, part):
+        P = self[part] = TypeVector(tuple([part // b % self.base for b in self.powers]))
+        return P
+
+
+# One _Decoder per (base, q), kept across calls: it holds only the types decoded.
+_DECODERS = {}
+
+
 def _types(counts, q, blocks):
     """(per-block TypeVectors, count) per nonzero key of a _type_counter result."""
     base = max(map(len, blocks)) + 1
-    powers, radix = [base**a for a in range(q)], base**q
-    typed = functools.cache(lambda part: TypeVector(tuple([part // b % base for b in powers])))
+    if (base, q) not in _DECODERS:
+        _DECODERS[base, q] = _Decoder(base, q)
+    decode, radix = _DECODERS[base, q].__getitem__, base**q
     keys = [key for key, c in counts.items() if c]
-    parts = [map(radix.__rmod__, map((radix**b).__rfloordiv__, keys)) for b in range(len(blocks))]
-    return zip(zip(*[map(typed, part) for part in parts]), map(counts.__getitem__, keys))
+    # block b's part is key // radix^b % radix; the last block needs no %
+    parts = [map((radix**b).__rfloordiv__, keys) if b else keys for b in range(len(blocks))]
+    parts = [map(radix.__rmod__, part) for part in parts[:-1]] + parts[-1:]
+    return zip(zip(*[map(decode, part) for part in parts]), map(counts.__getitem__, keys))
 
 
 def _typed(types, total):

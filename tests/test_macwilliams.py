@@ -20,7 +20,8 @@ from codespectra.macwilliams import (
     random_subspace,
     subspace_from_rows,
 )
-from codespectra.spectra import partition_make
+from codespectra.linalg import matvec
+from codespectra.spectra import _span_ensemble, all_matrices_ensemble, partition_make
 
 f2 = field_make(2)
 f3 = field_make(3)
@@ -189,3 +190,70 @@ def test_joint_transpose_sampled_gf3():
             n, m = rng.randint(1, 2), rng.randint(1, 2)
             A = tuple(tuple(rng.randrange(field.q) for _ in range(m)) for _ in range(n))
             assert mw_joint_transpose(field, A) == joint_transpose_reference(field, A)
+
+
+def _span_reference(field, rows, n, offset=None):
+    """Test-local reference: offset + x·rows for every x in itertools.product
+    order, by linalg.matvec."""
+    if not rows:
+        return [offset or (0,) * n]
+    members = [matvec(field, x, rows) for x in itertools.product(range(field.q), repeat=len(rows))]
+    if offset is not None:
+        members = [tuple(map(field.add, y, offset)) for y in members]
+    return members
+
+
+@settings(max_examples=100, deadline=None)
+@given(A=_subspaces())
+def test_enumerate_subspace_matches_a_matvec_reference(A):
+    assert enumerate_subspace(A) == _span_reference(A.field, A.basis, A.n)
+
+
+@pytest.mark.parametrize("field", [f for f, _ in SMALL_FIELDS], ids=lambda f: f"GF{f.q}")
+def test_enumerate_subspace_edge_cases(field):
+    assert enumerate_subspace(Subspace(field, 3, ())) == [(0, 0, 0)]
+    assert enumerate_subspace(Subspace(field, 0, ())) == [()]
+
+
+@st.composite
+def _matrix_shapes(draw):
+    field, _ = draw(st.sampled_from(SMALL_FIELDS))
+    n, m = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]))
+    return field, n, m
+
+
+def _rows(v, m):
+    return tuple(tuple(v[i : i + m]) for i in range(0, len(v), m))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=_matrix_shapes())
+def test_all_matrices_support_matches_a_matvec_reference(shape):
+    field, n, m = shape
+    if field.q ** (n * m) > 4096:
+        return
+    units = [tuple(int(i == u) for i in range(n * m)) for u in range(n * m)]
+    want = [_rows(v, m) for v in _span_reference(field, units, n * m)]
+    E = all_matrices_ensemble(field, n, m)
+    assert [code.generator for code, _ in E.support] == want
+    assert {p for _, p in E.support} == {Fraction(1, len(want))}
+
+
+@st.composite
+def _cosets(draw):
+    """An offset and up to three n x m span matrices, dependent ones too."""
+    field, _ = draw(st.sampled_from(SMALL_FIELDS))
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    matrix = st.tuples(*[st.tuples(*[st.integers(0, field.q - 1)] * m)] * n)
+    return field, draw(matrix), draw(st.lists(matrix, max_size=3 if field.q <= 4 else 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_cosets())
+def test_span_ensemble_support_matches_a_matvec_reference(case):
+    field, offset, span = case
+    m = len(offset[0])
+    flat = lambda M: tuple(itertools.chain.from_iterable(M))
+    want = _span_reference(field, [flat(B) for B in span], len(flat(offset)), flat(offset))
+    E = _span_ensemble(field, offset, span, "coset")
+    assert [code.generator for code, _ in E.support] == [_rows(v, m) for v in want]

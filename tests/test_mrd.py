@@ -373,3 +373,19 @@ def test_randomize_and_compose_drop_the_span():
     assert compose(E, all_matrices_ensemble(E.field, 2, 1), uniform=True).span is None
     assert CodeEnsemble(E.support).span is None
     assert E == CodeEnsemble(E.support, E.description) and "span" not in repr(E)
+
+
+@pytest.mark.parametrize("q,n,m,k", [(2, 4, 4, 2), (3, 3, 3, 1), (2, 3, 4, 2), (2, 4, 3, 1)])
+def test_gabidulin_ensemble_ranks_no_basis_codeword(q, n, m, k, monkeypatch):
+    # the K = k·n' basis codewords are evaluated without the rank that
+    # gabidulin_encode attaches to each codeword
+    spec = gabidulin_make(q, n, m, k)
+    want = _enumerated_gabidulin(spec).support
+    calls = []
+    rank = mrd.rank
+    monkeypatch.setattr(mrd, "rank", lambda *args: calls.append(args) or rank(*args))
+    E = gabidulin_ensemble(spec)
+    assert calls == []
+    assert E.support == want
+    assert gabidulin_encode(spec, (1,) + (0,) * (k - 1)).rank == min(n, m)
+    assert len(calls) == 1

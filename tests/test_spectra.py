@@ -1,12 +1,19 @@
 import itertools
+import json
 import math
 import operator
+import os
+import pickle
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from codespectra import spectra
 from codespectra.designer import outer_weight_window
@@ -717,3 +724,151 @@ def test_draw_is_exact():
     for seed in range(40):
         u = random.Random(seed).randrange(6)
         assert F.draw(seed) == (c0 if u < 1 else c2 if u < 4 else c3), seed
+
+
+# ---------------------------------------------------------------------------
+# TypeVector as a tuple, and the explicit-set layer against per-vector loops
+
+SMALL_FIELDS = [field_make(*pr) for pr in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+_ids = [f"GF{f.q}" for f in SMALL_FIELDS]
+
+
+def _per_vector_spectrum(A, field, blocks=None):
+    """Test-local reference: each vector typed by a counting loop, keys in
+    first-seen order (per-block tuples when blocks are given)."""
+    counts = {}
+    for x in A:
+        key = []
+        for block in blocks or [range(len(x))]:
+            c = [0] * field.q
+            for i in block:
+                c[x[i]] += 1
+            key.append(TypeVector(tuple(c)))
+        key = key[0] if blocks is None else tuple(key)
+        counts[key] = counts.get(key, 0) + 1
+    return [(key, Fraction(c, len(A))) for key, c in counts.items()]
+
+
+@st.composite
+def _sets_and_partitions(draw):
+    field = draw(st.sampled_from(SMALL_FIELDS))
+    n = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(0, field.q - 1)] * n)
+    A = draw(st.lists(vector, min_size=1, max_size=40))
+    coords = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else [])
+    bounds = [0, *cuts, n]
+    return field, A, [coords[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sets_and_partitions())
+def test_set_spectra_match_a_per_vector_loop(case):
+    field, A, blocks = case
+    assert list(set_spectrum(A, field).items()) == _per_vector_spectrum(A, field)
+    want = _per_vector_spectrum(A, field, partition_make(blocks, len(A[0])))
+    assert list(u_set_spectrum(A, field, blocks).items()) == want
+    assert [type_of(x, field) for x in A] == [P for x in A for P, _ in _per_vector_spectrum([x], field)]
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=_ids)
+def test_symbols_outside_the_field_raise_domain_error(field):
+    q = field.q
+    for bad in (-1, q, q + 3):
+        vec = (0, bad, q - 1)
+        with pytest.raises(DomainError):
+            type_of(vec, field)
+        with pytest.raises(DomainError):
+            set_spectrum([(0, 0, 0), vec], field)
+        for blocks in ([(0, 2), (1,)], [(0, 1), (2,)], [(0, 1, 2)]):
+            with pytest.raises(DomainError):
+                u_set_spectrum([(0, 0, 0), vec], field, blocks)
+    # the empty vector keeps its own error
+    with pytest.raises(EmptySequence):
+        set_spectrum([()], field)
+
+
+def test_type_vector_is_the_tuple_of_its_counts():
+    P = TypeVector((1, 2))
+    assert P == ((1, 2),) and hash(P) == hash(((1, 2),))
+    assert {P: 1}[((1, 2),)] == 1
+    assert len(P) == 1 and P[0] == P.counts == (1, 2)
+    assert TypeVector(counts=(1, 2)) == P and (P.n, P.q, P.prob(1)) == (3, 2, Fraction(2, 3))
+    types = [TypeVector((2, 0)), TypeVector((0, 2)), TypeVector((1, 1))]
+    assert sorted(types) == [TypeVector((0, 2)), TypeVector((1, 1)), TypeVector((2, 0))]
+    assert json.dumps(P) == "[[1, 2]]"
+    assert pickle.loads(pickle.dumps(P)) == P
+    assert repr(P) == "TypeVector(counts=(1, 2))"
+    assert repr(set_spectrum([(0, 1), (1, 1)], f2)) == (
+        "{TypeVector(counts=(1, 1)): Fraction(1, 2), TypeVector(counts=(0, 2)): Fraction(1, 2)}"
+    )
+    assert repr(code_joint_spectrum(LinearCode(f2, ((1,),)))) == (
+        "{(TypeVector(counts=(1, 0)), TypeVector(counts=(1, 0))): Fraction(1, 2),"
+        " (TypeVector(counts=(0, 1)), TypeVector(counts=(0, 1))): Fraction(1, 2)}"
+    )
+
+
+def _is_type(key):
+    return type(key) is TypeVector
+
+
+def _is_types(key, blocks):
+    return type(key) is tuple and len(key) == blocks and all(map(_is_type, key))
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=_ids)
+def test_every_spectrum_key_is_a_type_vector_or_a_tuple_of_them(field):
+    # no spectrum mixes a TypeVector with the plain tuple (counts,) it equals
+    rng = random.Random(field.q)
+    gen = tuple(tuple(rng.randrange(field.q) for _ in range(3)) for _ in range(2))
+    code = LinearCode(field, gen)
+    members = enumerate_subspace(subspace_from_rows(field, gen, 3))
+    for spec in (kernel_spectrum(code), image_spectrum(code), set_spectrum(members, field)):
+        assert spec and all(map(_is_type, spec))
+    joints = [code_joint_spectrum(code), ensemble_avg_joint_spectrum(all_matrices_ensemble(field, 1, 2))]
+    for spec in joints:
+        assert spec and all(_is_types(key, 2) for key in spec)
+    for blocks in ([(0, 1, 2)], [(0, 2), (1,)]):
+        spec = u_set_spectrum(members, field, blocks)
+        assert spec and all(_is_types(key, len(blocks)) for key in spec)
+
+
+# m < n, so the kernels are nontrivial and each image has its own block base
+_SHAPES = {
+    "gf2": "field_make(2), 8, 6",
+    "gf9": "field_make(3, 2), 3, 2",
+}
+_SPECTRUM_OF_SHAPE = """
+import random
+from codespectra.gf import field_make
+from codespectra.spectra import LinearCode, code_joint_spectrum, image_spectrum, kernel_spectrum
+
+def spectrum_of(name, field, n, m):
+    rng = random.Random(n * m)
+    code = LinearCode(field, tuple(tuple(rng.randrange(field.q) for _ in range(m)) for _ in range(n)))
+    return repr(globals()[name](code))
+"""
+_SPECTRUM_NAMES = ("code_joint_spectrum", "kernel_spectrum", "image_spectrum")
+
+
+def test_decode_tables_kept_across_shapes_give_fresh_interpreter_outputs():
+    # GF(2) n = 8, then GF(9) n = 3, then GF(2) n = 8 again in this process,
+    # each spectrum against a fresh interpreter that decodes only that one
+    scope = {}
+    exec(_SPECTRUM_OF_SHAPE, scope)
+    order = [(name, shape) for shape in ("gf2", "gf9", "gf2") for name in _SPECTRUM_NAMES]
+    here = [scope["spectrum_of"](name, *eval(_SHAPES[shape], scope)) for name, shape in order]
+    src = str(Path(spectra.__file__).resolve().parents[1])
+    fresh = {}
+    for name, shape in set(order):
+        code = _SPECTRUM_OF_SHAPE + f"\nprint(spectrum_of({name!r}, {_SHAPES[shape]}))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        fresh[name, shape] = proc.stdout.strip()
+    assert here == [fresh[key] for key in order]
