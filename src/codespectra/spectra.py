@@ -86,15 +86,16 @@ def zero_type(n, q):
 
 
 def type_of(seq, field):
-    """Type of seq over field, counted with tuple.count; DomainError if a
-    symbol lies outside 0..q-1."""
+    """Type of seq over field; DomainError if a symbol lies outside 0..q-1."""
     seq = tuple(seq)
     if not seq:
         raise EmptySequence("cannot take the type of an empty sequence")
-    counts = tuple(map(seq.count, field.elements))
-    if sum(counts) != len(seq):
+    if min(seq) < 0 or max(seq) >= field.q:
         raise DomainError(f"{seq} has a symbol outside 0..{field.q - 1}")
-    return TypeVector(counts)
+    counts = [0] * field.q
+    for a in seq:
+        counts[a] += 1
+    return TypeVector(tuple(counts))
 
 
 def enumerate_types(n, field):
@@ -280,28 +281,32 @@ def all_matrices_ensemble(field, n, m):
     return _span_ensemble(field, ((0,) * m,) * n, units, f"all {n}x{m} matrices")
 
 
-@functools.cache
-def _shift_tables(field):
-    """tables[a][v] = (v + c a for c in field.elements), for every a and v."""
-    return tuple(
-        tuple(tuple(field.add(v, field.mul(c, a)) for c in field.elements) for v in field.elements)
-        for a in field.elements
-    )
+class _Shifts(dict):
+    """v -> (v + c a for c in field.elements) for one coefficient a, each
+    entry built on its first lookup."""
+
+    def __init__(self, field, a):
+        self.add, self.multiples = field.add, [field.mul(c, a) for c in field.elements]
+
+    def __missing__(self, v):
+        shifted = self[v] = tuple(map(self.add, itertools.repeat(v), self.multiples))
+        return shifted
 
 
 def _span_walk(field, start, rows):
     """start + sum_i x_i rows_i for every x, in all_vectors order of x.  Each
     coordinate's column grows one row at a time, each entry v becoming
-    v + c row_i[j] for every c through _shift_tables; the columns are then
-    zipped into the members."""
+    v + c row_i[j] for every c through the call's _Shifts of row_i[j], which
+    hold no more entries than the columns built; the columns are then zipped
+    into the members."""
     if not start:
         return [start] * field.q ** len(rows)
-    tables = _shift_tables(field)
+    shifts = {a: _Shifts(field, a) for a in set(itertools.chain.from_iterable(rows))}
     columns = []
     for j, s in enumerate(start):
         column = [s]
         for row in rows:
-            column = list(itertools.chain.from_iterable(map(tables[row[j]].__getitem__, column)))
+            column = list(itertools.chain.from_iterable(map(shifts[row[j]].__getitem__, column)))
         columns.append(column)
     return list(zip(*columns))
 
@@ -496,16 +501,16 @@ class _Decoder(dict):
         return P
 
 
-# One _Decoder per (base, q), kept across calls: it holds only the types decoded.
-_DECODERS = {}
+@functools.cache
+def _decoder(base, q):
+    """The one _Decoder per (base, q), kept across calls: it holds only the types decoded."""
+    return _Decoder(base, q)
 
 
 def _types(counts, q, blocks):
     """(per-block TypeVectors, count) per nonzero key of a _type_counter result."""
     base = max(map(len, blocks)) + 1
-    if (base, q) not in _DECODERS:
-        _DECODERS[base, q] = _Decoder(base, q)
-    decode, radix = _DECODERS[base, q].__getitem__, base**q
+    decode, radix = _decoder(base, q).__getitem__, base**q
     keys = [key for key, c in counts.items() if c]
     # block b's part is key // radix^b % radix; the last block needs no %
     parts = [map((radix**b).__rfloordiv__, keys) if b else keys for b in range(len(blocks))]

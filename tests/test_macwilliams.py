@@ -215,6 +215,17 @@ def test_enumerate_subspace_edge_cases(field):
     assert enumerate_subspace(Subspace(field, 0, ())) == [()]
 
 
+@pytest.mark.parametrize("q", [257, 65521])
+def test_enumerate_subspace_over_a_large_field(q):
+    # the walk's addition tables grow with the members listed, not with q^3
+    field = field_make(q)
+    for rows in [((1, 2),), ((0, q - 1),)]:
+        A = subspace_from_rows(field, rows, 2)
+        assert enumerate_subspace(A) == _span_reference(field, A.basis, 2)
+    E = all_matrices_ensemble(field, 1, 1)
+    assert [code.generator for code, _ in E.support] == [((c,),) for c in range(q)]
+
+
 @st.composite
 def _matrix_shapes(draw):
     field, _ = draw(st.sampled_from(SMALL_FIELDS))

@@ -2,15 +2,11 @@ import itertools
 import json
 import math
 import operator
-import os
 import pickle
 import random
-import subprocess
-import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -834,41 +830,24 @@ def test_every_spectrum_key_is_a_type_vector_or_a_tuple_of_them(field):
 
 
 # m < n, so the kernels are nontrivial and each image has its own block base
-_SHAPES = {
-    "gf2": "field_make(2), 8, 6",
-    "gf9": "field_make(3, 2), 3, 2",
-}
-_SPECTRUM_OF_SHAPE = """
-import random
-from codespectra.gf import field_make
-from codespectra.spectra import LinearCode, code_joint_spectrum, image_spectrum, kernel_spectrum
+_SHAPES = {"gf2": (field_make(2), 8, 6), "gf9": (field_make(3, 2), 3, 2)}
+_SPECTRA = (code_joint_spectrum, kernel_spectrum, image_spectrum)
 
-def spectrum_of(name, field, n, m):
+
+def _spectrum_of(spectrum, field, n, m):
     rng = random.Random(n * m)
     code = LinearCode(field, tuple(tuple(rng.randrange(field.q) for _ in range(m)) for _ in range(n)))
-    return repr(globals()[name](code))
-"""
-_SPECTRUM_NAMES = ("code_joint_spectrum", "kernel_spectrum", "image_spectrum")
+    return repr(spectrum(code))
 
 
 def test_decode_tables_kept_across_shapes_give_fresh_interpreter_outputs():
-    # GF(2) n = 8, then GF(9) n = 3, then GF(2) n = 8 again in this process,
-    # each spectrum against a fresh interpreter that decodes only that one
-    scope = {}
-    exec(_SPECTRUM_OF_SHAPE, scope)
-    order = [(name, shape) for shape in ("gf2", "gf9", "gf2") for name in _SPECTRUM_NAMES]
-    here = [scope["spectrum_of"](name, *eval(_SHAPES[shape], scope)) for name, shape in order]
-    src = str(Path(spectra.__file__).resolve().parents[1])
-    fresh = {}
-    for name, shape in set(order):
-        code = _SPECTRUM_OF_SHAPE + f"\nprint(spectrum_of({name!r}, {_SHAPES[shape]}))\n"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        fresh[name, shape] = proc.stdout.strip()
-    assert here == [fresh[key] for key in order]
+    # GF(2) n = 8, then GF(9) n = 3, then GF(2) n = 8 again with the tables
+    # kept, each spectrum against one decoded from empty tables
+    order = [(spectrum, _SHAPES[shape]) for shape in ("gf2", "gf9", "gf2") for spectrum in _SPECTRA]
+    spectra._decoder.cache_clear()
+    kept = [_spectrum_of(spectrum, *shape) for spectrum, shape in order]
+    fresh = []
+    for spectrum, shape in order:
+        spectra._decoder.cache_clear()
+        fresh.append(_spectrum_of(spectrum, *shape))
+    assert kept == fresh
