@@ -7,16 +7,18 @@ import random
 from fractions import Fraction
 
 from .errors import DimensionMismatch, DomainError
-from .ldgm import full_rank_probability, kq_product, rho0_and_dq, rho0_of
+from .ldgm import kq_product, rho0_and_dq, rho0_of
 from .linalg import matmul, null_space, rank, rref, transpose
 from .spectra import (
     CodeEnsemble,
     LinearCode,
+    TypeVector,
     _check_size,
     _graph,
     _span_types,
     alpha_table,
     single_code_ensemble,
+    type_class_size,
 )
 
 
@@ -188,15 +190,6 @@ def equivalence_G2(F, exact=True, samples=10**5, seed=0):
 # single-code lower bound
 
 
-def _balanced_multinomial(qy, m):
-    base, extra = divmod(m, qy)
-    counts = [base + 1] * extra + [base] * (qy - extra)
-    out = math.factorial(m)
-    for c in counts:
-        out //= math.factorial(c)
-    return out
-
-
 def single_code_lower_bound(alphabet_size, m):
     """|Y|^m over the largest multinomial coefficient: no single code's
     maximum alpha can fall below this."""
@@ -204,7 +197,9 @@ def single_code_lower_bound(alphabet_size, m):
         raise ValueError("m must be >= 1")
     if alphabet_size < 2:
         raise ValueError("alphabet_size must be >= 2")
-    return Fraction(alphabet_size**m, _balanced_multinomial(alphabet_size, m))
+    base, extra = divmod(m, alphabet_size)
+    balanced = TypeVector((base + 1,) * extra + (base,) * (alphabet_size - extra))
+    return Fraction(alphabet_size**m, type_class_size(balanced))
 
 
 def check_lower_bound(code):

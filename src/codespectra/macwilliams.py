@@ -57,13 +57,7 @@ def enumerate_subspace(A):
 
 def orthogonal(A):
     """All x with x . a = 0 for every a in A, under the standard dot product."""
-    if A.dim == 0:
-        full = tuple(
-            tuple(1 if j == i else 0 for j in range(A.n)) for i in range(A.n)
-        )
-        return Subspace(A.field, A.n, full)
-    basis = null_space(A.field, A.basis, A.n)
-    return subspace_from_rows(A.field, basis, A.n) if basis else Subspace(A.field, A.n, ())
+    return subspace_from_rows(A.field, null_space(A.field, A.basis, A.n), A.n)
 
 
 def _mw_kernel(field, counts, divisor):

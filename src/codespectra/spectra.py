@@ -277,6 +277,8 @@ def single_code_ensemble(code):
 
 
 def all_matrices_ensemble(field, n, m):
+    if n < 1 or m < 1:
+        raise DomainError(f"need n, m >= 1, got {n}x{m}")
     units = [tuple(tuple(int(i * m + j == u) for j in range(m)) for i in range(n)) for u in range(n * m)]
     return _span_ensemble(field, ((0,) * m,) * n, units, f"all {n}x{m} matrices")
 

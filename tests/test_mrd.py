@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,14 @@ from codespectra.mrd import (
     verify_mrd,
     verify_scc,
 )
-from codespectra.spectra import CodeEnsemble, LinearCode, all_matrices_ensemble, all_vectors
+from codespectra.spectra import (
+    CodeEnsemble,
+    LinearCode,
+    all_matrices_ensemble,
+    all_vectors,
+    randomize,
+    single_code_ensemble,
+)
 
 
 def test_binary_2x2_k1_codewords():
@@ -250,8 +258,8 @@ def _random_matrix(rng, q, n, m):
     return tuple(tuple(rng.randrange(q) for _ in range(m)) for _ in range(n))
 
 
-# every shape with q^(k·n') <= 4096 and n, m <= 4: past that the enumeration
-# needs more than ENUM_LIMIT point applications (4096 x 4096 at 1 x 12)
+# every shape with q^(k·n') <= 4096 and n, m <= 4: the enumeration oracle
+# applies each of up to 4,096 members to every x != 0
 _SPAN_SHAPES = [
     (q, n, m, k)
     for q in (2, 3)
@@ -355,7 +363,7 @@ def test_span_ensembles_never_enumerate(monkeypatch):
     monkeypatch.setattr(mrd, "point_distribution", refuse)
     assert verify_scc(gabidulin_ensemble(gabidulin_make(2, 4, 4, 2)))["scc_good"]
     assert verify_scc(all_matrices_ensemble(field_make(3), 2, 3))["column_uniform"]
-    # 65,536 members: enumerating would need 30 applications of each, past ENUM_LIMIT
+    # 65,536 members: enumerating would apply each to all 15 nonzero inputs
     assert verify_scc(all_matrices_ensemble(field_make(2), 4, 4)) == {"scc_good": True, "column_uniform": True}
     with pytest.raises(NotSCCGood):
         verify_scc(_span_coset(field_make(2), [((1, 0), (0, 1))], ((0, 0), (0, 0))))
@@ -389,3 +397,87 @@ def test_gabidulin_ensemble_ranks_no_basis_codeword(q, n, m, k, monkeypatch):
     assert E.support == want
     assert gabidulin_encode(spec, (1,) + (0,) * (k - 1)).rank == min(n, m)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# column uniformity, from the row check, against a brute-force column count
+
+
+_SMALL_FIELDS = [field_make(2), field_make(3), field_make(2, 2), field_make(5)]
+
+
+def _columns_uniform(E):
+    """For every y != 0, A·y^T over the members' generators (offsets dropped),
+    counted one member at a time through apply, is uniform on GF(q)^n."""
+    field = E.field
+    target = Fraction(1, field.q**E.n)
+    for y in all_vectors(field, E.m):
+        if any(y):
+            dist = Counter()
+            for code, p in E.support:
+                dist[LinearCode(field, tuple(zip(*code.generator))).apply(y)] += p
+            if len(dist) != field.q**E.n or set(dist.values()) != {target}:
+                return False
+    return True
+
+
+def _column_cases(field):
+    """(kind, ensemble) pairs over field: span, explicit linear and affine."""
+    q = field.q
+    rng = random.Random(q)
+    shapes = [(1, 1), (1, 2), (2, 1)] + ([(2, 2)] if q <= 3 else [])
+    spans = [all_matrices_ensemble(field, n, m) for n, m in shapes]
+    if field.r == 1 and q <= 3:
+        spans += [gabidulin_ensemble(gabidulin_make(q, 2, 3, 1)), gabidulin_ensemble(gabidulin_make(q, 2, 2, 1))]
+    for _ in range(6):
+        # random span cosets: most fail rows, the rest must report columns
+        spans.append(_span_coset(field, [_random_matrix(rng, q, 2, 1) for _ in range(2)], _random_matrix(rng, q, 2, 1)))
+    for E in spans:
+        yield "span", E
+        yield "linear", CodeEnsemble(E.support)
+        # zero offsets leave every member linear
+        yield "linear", CodeEnsemble(tuple((LinearCode(field, c.generator, (0,) * c.m), p) for c, p in E.support))
+    for n, m in ((1, 2), (2, 1)):
+        yield "affine", randomize(CodeEnsemble(all_matrices_ensemble(field, n, m).support), "affine")
+    for _ in range(8):
+        members = [LinearCode(field, _random_matrix(rng, q, 2, 1), (rng.randrange(q),)) for _ in range(2)]
+        yield "affine", randomize(CodeEnsemble(tuple((c, Fraction(1, 2)) for c in members)), "affine")
+
+
+@pytest.mark.parametrize("field", _SMALL_FIELDS, ids=lambda f: f"GF{f.q}")
+def test_column_uniform_matches_brute_force_columns(field):
+    seen = Counter()
+    for kind, E in _column_cases(field):
+        try:
+            report = verify_scc(E)
+        except NotSCCGood:
+            continue
+        assert report["column_uniform"] == _columns_uniform(E), (kind, E)
+        seen[kind, report["column_uniform"]] += 1
+    # every kind passed rows at least once, and affine supports report both answers
+    assert {kind for kind, _ in seen} == {"span", "linear", "affine"}
+    assert seen["affine", True] and seen["affine", False]
+    # x -> x + b, b uniform: every row map is uniform, the column maps y -> y are not
+    identity = randomize(single_code_ensemble(LinearCode(field, ((1, 0), (0, 1)))), "affine")
+    assert verify_scc(identity) == {"scc_good": True, "column_uniform": False}
+    assert not _columns_uniform(identity)
+
+
+def test_span_ensembles_check_rows_once(monkeypatch):
+    # one rank search per verify_scc call: no second, transposed walk
+    calls = []
+    deficient = mrd._first_deficient
+    monkeypatch.setattr(mrd, "_first_deficient", lambda *args: calls.append(args) or deficient(*args))
+    spec = gabidulin_make(2, 3, 4, 2)
+    passing = [
+        gabidulin_ensemble(spec),
+        gabidulin_ensemble(spec, offset=_random_matrix(random.Random(3), 2, 3, 4)),
+        all_matrices_ensemble(field_make(2, 2), 2, 3),
+    ]
+    for E in passing:
+        before = len(calls)
+        assert verify_scc(E) == {"scc_good": True, "column_uniform": True}
+        assert len(calls) == before + 1
+    with pytest.raises(NotSCCGood):
+        verify_scc(_span_coset(field_make(2), [((1, 0), (0, 1))], ((0, 0), (0, 0))))
+    assert len(calls) == len(passing) + 1

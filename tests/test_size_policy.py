@@ -77,9 +77,9 @@ _REFUSALS = {
         False,
     ),
     "verify_scc": (lambda: mrd.verify_scc(single_code_ensemble(_code(11, 10))), False),
-    # 4 x 5 passes q^(n+m) = 2^9, but 2^15 members x (2^4 - 1 + 2^5 - 1) inputs do not
+    # 6 x 3 passes q^(n+m) = 2^9, but 2^15 members x (2^6 - 1) nonzero inputs do not
     "verify_scc work": (
-        lambda: mrd.verify_scc(CodeEnsemble(((_code(4, 5), Fraction(1, 2**15)),) * 2**15)),
+        lambda: mrd.verify_scc(CodeEnsemble(((_code(6, 3), Fraction(1, 2**15)),) * 2**15)),
         False,
     ),
     "randomize": (

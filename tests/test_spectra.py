@@ -183,6 +183,20 @@ def test_alpha_all_matrices():
     assert rho(E) == 0
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_all_matrices_ensemble_rejects_no_columns(n):
+    # a row split of width 0 used to fail inside the span build with a ValueError
+    with pytest.raises(DomainError, match="n, m >= 1"):
+        all_matrices_ensemble(f2, 2, n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_all_matrices_ensemble_rejects_no_rows(n):
+    # an empty offset used to fail inside the span build with an IndexError
+    with pytest.raises(DomainError, match="n, m >= 1"):
+        all_matrices_ensemble(f3, n, 2)
+
+
 def test_alpha_single_identity():
     E = single_code_ensemble(LinearCode(f2, ((1,),)))
     d0, d1 = TypeVector((1, 0)), TypeVector((0, 1))
