@@ -5,9 +5,8 @@ is a plain dict mapping TypeVector to Fraction; a joint spectrum maps
 (TypeVector, TypeVector) pairs.  Brute-force enumeration is the ground truth
 throughout: one packed-integer walk (_type_counter) counts types over the
 members of a span, the graph [I | A] for joint spectra and a kernel or image
-basis for those spectra.  An ensemble average walks its whole support at
-once: the graphs of all members share their inputs x, so one span of the
-stacked rows [I | A_1 | ... | A_M] counts every (member, x) pair.
+basis for those spectra.  An ensemble average walks each permutation class
+of its support once, through one counter whose tables all its walks share.
 
 TypeVector is a NamedTuple, so spectrum keys hash and compare in C.  The
 walk's packed keys are decoded through one _Decoder per (block base, q),
@@ -211,6 +210,8 @@ class LinearCode:
         return len(self.generator[0])
 
     def apply(self, x):
+        if len(x) != self.n:
+            raise DimensionMismatch(f"input has length {len(x)}, the code n = {self.n}")
         y = matvec(self.field, x, self.generator)
         if self.offset is not None:
             y = tuple(self.field.add(a, b) for a, b in zip(y, self.offset))
@@ -333,14 +334,14 @@ def _span_ensemble(field, offset, span, description):
 
 TABLE_BITS = 8
 LOW_MEMBERS = 1 << 11
-GROUP_BITS = 1 << 8
 
 
 def _type_counter(field, blocks):
-    """count(members, shared=0): an iterator of one Counter of packed
-    type keys per member (rows, offset), in order, over the member's span
+    """count(rows, offset): the Counter of packed type keys over the span
     sum_i x_i rows_i + offset, x in GF(q)^k, in all_vectors order of x.  The
-    one exhaustive walk; its tables are built once per counter.
+    one exhaustive walk; its tables, readers and fold are built once per
+    counter and shared by every call, so an ensemble average walks each
+    member's graph with one counter.
 
     Member y has key sum_j B^(b(j) q + y_j), b(j) the block of coordinate j
     and B the longest block plus one (_types decodes it).  A vector is one int
@@ -352,16 +353,6 @@ def _type_counter(field, blocks):
     chunks of whole coordinates (at most TABLE_BITS bits) read through tables
     that fold mod p and sum key terms; a wider coordinate is read through its
     block's q-entry weights.
-
-    Members share k and their first `shared` coordinates (the inputs x of a
-    graph [I_n | A]), so they are walked stacked: one span of the rows
-    [head | slot_1 | ... | slot_M], each slot a member's coordinates past the
-    head.  The head's keys are read once per prefix and each member adds the
-    reads of its own slot.  The head is the shared coordinates, their whole
-    chunks or nothing, whichever reads the fewest chunks; a lone member has
-    none, so its chunks are the plain walk's.  Members are stacked in groups
-    whose vectors hold at most GROUP_BITS bits (or one member), so memory and
-    the cost of the shifts stay linear in M.
     """
     q, p, r = field.q, field.p, field.r
     if not all(blocks):
@@ -374,19 +365,16 @@ def _type_counter(field, blocks):
     def pack(vec):
         return sum(map(operator.lshift, map(cells.__getitem__, vec), itertools.count(0, width)))
 
-    def folder(bits):
-        """List-wise fold mod p of every digit field of sums of two vectors
-        below 2^bits: adding 2^w - p to the even, then the odd, fields carries
-        out of a field exactly when it is >= p, into an empty neighbour."""
-        if p == 2:
-            return lambda sums: sums
-        even = sum(1 << i for i in range(0, bits, 2 * w))
-        (m0, k0, o0), (m1, k1, o1) = [(o * digit, o * ((1 << w) - p), o) for o in (even, even << w)]
-        return lambda sums: [
-            s - p * ((((s & m0) + k0) >> w & o0) + (((s & m1) + k1) >> w & o1)) for s in sums
-        ]
+    even = sum(1 << i for i in range(0, n * width, 2 * w))
+    (m0, k0, o0), (m1, k1, o1) = [(o * digit, o * ((1 << w) - p), o) for o in (even, even << w)]
 
-    def span(rows, start, fold):
+    def fold(sums):
+        """List-wise fold mod p (p odd) of every digit field of sums of two
+        vectors: adding 2^w - p to the even, then the odd, fields carries out
+        of a field exactly when it is >= p, into an empty neighbour."""
+        return [s - p * ((((s & m0) + k0) >> w & o0) + (((s & m1) + k1) >> w & o1)) for s in sums]
+
+    def span(rows, start):
         members = [start]
         for row in rows:
             for i in reversed(range(r)):
@@ -407,86 +395,40 @@ def _type_counter(field, blocks):
     weights = [[base ** (b * q + y) for y in range(q)] for b in range(len(blocks))]
     elements = [element(x) for x in range(1 << width)] if width <= TABLE_BITS else None
     low_max = next(t for t in itertools.count() if q ** (t + 1) > LOW_MEMBERS)
-    per, readers = max(1, TABLE_BITS // width), {}
+    per = max(1, TABLE_BITS // width)
     combine = operator.xor if p == 2 else operator.add
 
+    @functools.cache
     def reader(sig):
-        if sig not in readers and width > TABLE_BITS:
-            readers[sig] = functools.cache(lambda x, wb=weights[sig[0]]: wb[element(x)])
-        elif sig not in readers:
-            table = [0]
-            for b in reversed(sig):
-                table = [hi + weights[b][e] for hi in table for e in elements]
-            readers[sig] = table.__getitem__
-        return readers[sig]
+        if width > TABLE_BITS:
+            return functools.cache(lambda x, wb=weights[sig[0]]: wb[element(x)])
+        table = [0]
+        for b in reversed(sig):
+            table = [hi + weights[b][e] for hi in table for e in elements]
+        return table.__getitem__
 
-    def chunks(lo, hi):
-        """(shift, mask, read) per chunk of coordinates lo..hi-1 packed from bit 0."""
-        out = []
-        for start in range(lo, hi, per):
-            sig = tuple(block_of[j] for j in range(start, min(start + per, hi)))
-            out.append(((start - lo) * width, (1 << (len(sig) * width)) - 1, reader(sig)))
-        return out
+    # (shift, mask, read) per chunk of at most per whole coordinates
+    chunks = []
+    for start in range(0, n, per):
+        sig = tuple(block_of[j] for j in range(start, min(start + per, n)))
+        chunks.append((start * width, (1 << (len(sig) * width)) - 1, reader(sig)))
 
-    def size(head):
-        """Members per group: a group's vectors hold at most GROUP_BITS bits."""
-        return max(1, (GROUP_BITS // width - head) // (n - head))
-
-    def cost(head, total):
-        """Chunk reads per x: the head's once per group, each slot's once per member."""
-        return -(-total // size(head)) * -(-head // per) + total * -(-(n - head) // per)
-
-    def stack(group, head):
-        """Rows and offset of the group's members side by side: the first
-        member's head coordinates, then each member's coordinates past it."""
-        if len(group) == 1:
-            return group[0]
-
-        def joined(vectors):
-            return tuple(itertools.chain(vectors[0][:head], *(v[head:] for v in vectors)))
-
-        rows = [joined(parts) for parts in zip(*(rs for rs, _ in group))]
-        if all(b is None for _, b in group):
-            return rows, None
-        return rows, joined([(0,) * n if b is None else b for _, b in group])
-
-    def columns(chunks, at, suffixes):
-        """The chunks moved to bit at, each with its column of suffix values."""
-        shifted = [(at + s, mask, read) for s, mask, read in chunks]
-        return [(s, mask, read, [(v >> s) & mask for v in suffixes]) for s, mask, read in shifted]
-
-    def reads(x, chunks, keys):
-        for s, mask, read, column in chunks:
-            at = (x >> s) & mask
-            part = map(read, map(combine, itertools.repeat(at), column) if at else column)
-            keys = part if keys is None else map(operator.add, keys, part)
-        return keys
-
-    def count(members, shared=0):
-        k = len(members[0][0])
+    def count(rows, offset):
+        k = len(rows)
         _check_size("span members q^k", q**k)
-        total, low = len(members), min(k, low_max)
-        head = 0
-        if total > 1:
-            head = min((0, shared - shared % per, shared), key=lambda h: cost(h, total))
-        head_chunks, slot_chunks = chunks(0, head), chunks(head, n)
-        for g in range(0, total, size(head)):
-            group = members[g : g + size(head)]
-            rows, offset = stack(group, head)
-            fold = folder((head + len(group) * (n - head)) * width)
-            prefixes = span(rows[: k - low], 0 if offset is None else pack(offset), fold)
-            suffixes = span(rows[k - low :], 0, fold)
-            heads = columns(head_chunks, 0, suffixes)
-            slots = [
-                columns(slot_chunks, (head + j * (n - head)) * width, suffixes)
-                for j in range(len(group))
-            ]
-            counts = [Counter() for _ in group]
-            for x in prefixes:
-                keys = list(reads(x, heads, None)) if heads else None
-                for counter, chunks_j in zip(counts, slots):
-                    counter.update(reads(x, chunks_j, keys))
-            yield from counts
+        low = min(k, low_max)
+        prefixes = span(rows[: k - low], 0 if offset is None else pack(offset))
+        suffixes = span(rows[k - low :], 0)
+        columns = [(s, mask, read, [(v >> s) & mask for v in suffixes]) for s, mask, read in chunks]
+        counts = Counter()
+        for x in prefixes:
+            keys = None
+            for s, mask, read, column in columns:
+                at = (x >> s) & mask
+                part = map(read, map(combine, itertools.repeat(at), column) if at else column)
+                keys = part if keys is None else map(operator.add, keys, part)
+            counts.update(keys)
+        return counts
 
     return count
 
@@ -529,8 +471,16 @@ def _typed(types, total):
     }
 
 
+def _check_entries(f):
+    """DomainError unless every generator and offset entry of f is an element 0..q-1."""
+    entries = [*itertools.chain.from_iterable(f.generator), *(f.offset or ())]
+    if min(entries, default=0) < 0 or max(entries, default=0) >= f.field.q:
+        raise DomainError(f"generator or offset has an entry outside 0..{f.field.q - 1}")
+
+
 def _graph(f):
     """Rows [I_n | A], offset (0 | b) and blocks x|y of the graph {(x, f(x))}."""
+    _check_entries(f)
     n = f.n
     rows = [(0,) * i + (1,) + (0,) * (n - 1 - i) + tuple(a) for i, a in enumerate(f.generator)]
     offset = None if f.offset is None else (0,) * n + tuple(f.offset)
@@ -538,7 +488,7 @@ def _graph(f):
 
 
 def _span_types(field, rows, offset, blocks):
-    return _types(next(_type_counter(field, blocks)([(rows, offset)])), field.q, blocks)
+    return _types(_type_counter(field, blocks)(rows, offset), field.q, blocks)
 
 
 def code_joint_spectrum(f):
@@ -550,12 +500,14 @@ def kernel_spectrum(f):
     """Spectrum of {x : xA = 0} over a left null space basis; ENUM_LIMIT bounds q^(n - rank)."""
     if f.is_affine():
         raise ValueError("kernel of an affine map is not a subgroup")
+    _check_entries(f)
     basis = null_space(f.field, transpose(f.generator), f.n)
     return _typed(_span_types(f.field, basis, None, (range(f.n),)), f.field.q ** len(basis))
 
 
 def image_spectrum(f):
     """Spectrum of {xA (+ offset)} over the reduced row basis of A; ENUM_LIMIT bounds q^rank."""
+    _check_entries(f)
     basis = rref(f.field, f.generator)[0]
     types = _span_types(f.field, basis, f.offset, (range(f.m),))
     return _typed(types, f.field.q ** len(basis))
@@ -577,12 +529,11 @@ def ensemble_avg_joint_spectrum(E):
     Members are merged by _permutation_class: each class is walked once, as
     its first member in support order, with the class's summed weight.
     Member weights are the integers p·D, D the lcm of the support's
-    denominators.  One stacked walk counts the walked members' graphs
-    [I_n | A] (the inputs x are shared); their key counts are weighted,
-    summed, then decoded and divided once by D·q^n.  Later members of a class
-    add no new keys and zero-weight classes still place theirs, so the key
-    order is that of the whole support.  Keys whose expected mass is zero do
-    not appear.
+    denominators.  One _type_counter walks each class's graph [I_n | A] in
+    turn; the key counts are weighted, summed in class order, then decoded
+    and divided once by D·q^n.  Later members of a class add no new keys and
+    zero-weight classes still place theirs, so the key order is that of the
+    whole support.  Keys whose expected mass is zero do not appear.
     """
     scale, weights = _integer_weights(E.support)
     codes = [code for code, _ in E.support]
@@ -594,9 +545,9 @@ def ensemble_avg_joint_spectrum(E):
             classes[key] = first, total + w
         codes, weights = zip(*classes.values())
     blocks, acc = _graph(codes[0])[2], {}
-    members = [_graph(code)[:2] for code in codes]
-    for counts, w in zip(_type_counter(E.field, blocks)(members, E.n), weights):
-        for key, c in counts.items():
+    count = _type_counter(E.field, blocks)
+    for code, w in zip(codes, weights):
+        for key, c in count(*_graph(code)[:2]).items():
             acc[key] = acc.get(key, 0) + w * c
     return _typed(_types(acc, E.field.q, blocks), scale * E.field.q**E.n)
 

@@ -456,15 +456,38 @@ def test_codewords_match_apply(p, r):
                 kernel = [x for x in inputs if not any(f.apply(x))]
                 assert kernel_spectrum(f) == set_spectrum(kernel, field)
             for blocks in ((range(m),), partition):
-                counts = next(_type_counter(field, blocks)([(rows, f.offset)]))
+                counts = _type_counter(field, blocks)(rows, f.offset)
                 got = _types(counts, q, blocks)
                 got = [(tuple(c for P in types for c in P.counts), c) for types, c in got]
                 assert got == list(_brute_counts(f, blocks, field).items())
         # no rows: the one member is the offset
-        got = next(_type_counter(field, partition)([((), offset)]))
+        got = _type_counter(field, partition)((), offset)
         assert list(_types(got, q, partition)) == [
             (tuple(type_of([offset[j] for j in b], field) for b in partition), 1)
         ]
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+def test_one_counter_reused_over_members_of_different_k(p, r):
+    # the counter's tables are shared by every call, so each call must count
+    # its own member alone, whatever k and offset the previous call had
+    field = field_make(p, r)
+    q, m = field.q, 3
+    rng = random.Random(7 * q)
+    blocks = partition_make([(0, 2), (1,)], m)
+    count = _type_counter(field, blocks)
+    for k in (2, 0, 3, 1, 0, 2):
+        rows = tuple(tuple(rng.randrange(q) for _ in range(m)) for _ in range(k))
+        offset = tuple(rng.randrange(q) for _ in range(m))
+        for off in (None, offset):
+            got = _types(count(rows, off), q, blocks)
+            got = [(tuple(c for P in types for c in P.counts), c) for types, c in got]
+            if k:
+                want = _brute_counts(LinearCode(field, rows, off), blocks, field)
+            else:
+                y = off or (0,) * m
+                want = Counter([tuple(c for b in blocks for c in type_of([y[j] for j in b], field).counts)])
+            assert got == list(want.items())
 
 
 def test_enumerate_subspace_dim_zero():
@@ -587,6 +610,15 @@ def test_ragged_generator_and_offset_length_are_rejected():
     assert LinearCode(f2, ((1, 0), (0, 1)), (1, 0)).apply((0, 0)) == (1, 0)
 
 
+@pytest.mark.parametrize("x", [(1,), (1, 0, 1), ()], ids=["short", "long", "empty"])
+def test_apply_rejects_an_input_of_the_wrong_length(x):
+    code = LinearCode(f2, ((1, 1), (1, 0)))
+    with pytest.raises(DimensionMismatch):
+        code.apply(x)
+    with pytest.raises(DimensionMismatch):
+        point_distribution(single_code_ensemble(code), x)
+
+
 def test_ensemble_members_of_different_shapes_are_rejected():
     two_by_two = LinearCode(f2, ((1, 0), (0, 1)))
     half = Fraction(1, 2)
@@ -667,10 +699,10 @@ def test_ensemble_average_matches_apply_reference(p, r):
 
 @pytest.mark.parametrize("field,n,m", [(f2, 2, 3), (f3, 2, 2)], ids=["GF2-2x3", "GF3-2x2"])
 def test_ensemble_average_wider_than_one_group(field, n, m):
-    # every member's slot holds at least its m outputs, so the stacked walk
-    # splits this support into several groups
+    # a support of several permutation classes, so the average walks
+    # several members through one counter
     E = randomize(all_matrices_ensemble(field, n, m), "affine")
-    assert len(E.support) * m > spectra.GROUP_BITS
+    assert len({spectra._permutation_class(code) for code, _ in E.support}) > 1
     avg = ensemble_avg_joint_spectrum(E)
     ref = _reference_average(E)
     assert avg == ref
@@ -796,6 +828,25 @@ def test_symbols_outside_the_field_raise_domain_error(field):
     # the empty vector keeps its own error
     with pytest.raises(EmptySequence):
         set_spectrum([()], field)
+
+
+@pytest.mark.parametrize("field", SMALL_FIELDS, ids=_ids)
+@pytest.mark.parametrize("bad", ["negative", "q", "past q"])
+def test_code_entries_outside_the_field_raise_domain_error(field, bad):
+    q = field.q
+    a = {"negative": -1, "q": q, "past q": q + 3}[bad]
+    codes = [
+        LinearCode(field, ((a, 1), (0, 1))),  # generator entry
+        LinearCode(field, ((1, 0), (0, 1)), (0, a)),  # offset entry
+    ]
+    for code in codes:
+        for spectrum in (code_joint_spectrum, image_spectrum, kernel_spectrum):
+            if spectrum is kernel_spectrum and code.is_affine():
+                continue
+            with pytest.raises(DomainError):
+                spectrum(code)
+        with pytest.raises(DomainError):
+            ensemble_avg_joint_spectrum(single_code_ensemble(code))
 
 
 def test_type_vector_is_the_tuple_of_its_counts():
