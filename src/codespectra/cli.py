@@ -10,12 +10,13 @@ option values with exit code 2 as well.
 import argparse
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
 from . import designer, ldgm, macwilliams, mrd, serialize
-from .errors import CodeSpectraError, DimensionMismatch, DomainError, TooLarge
-from .gf import field_make
+from .errors import CodeSpectraError, DimensionMismatch, DomainError, FieldTooLarge, TooLarge
+from .gf import FIELD_SIZE_LIMIT, field_make
 from .spectra import LinearCode, TypeVector, set_spectrum
 
 
@@ -32,21 +33,38 @@ def _finite(obj):
 
 def _emit(args, obj):
     text = obj if isinstance(obj, str) else json.dumps(_finite(obj), indent=2, default=str)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
 
 
+def _field(q):
+    """GF(q) for a prime power q; a q above the field size limit is refused
+    before it is factored."""
+    if q > FIELD_SIZE_LIMIT:
+        raise FieldTooLarge(f"q = {q} exceeds limit {FIELD_SIZE_LIMIT}")
+    for p in range(2, q + 1):
+        if q % p == 0:
+            r = 1
+            while p**r < q:
+                r += 1
+            if p**r == q:
+                return field_make(p, r)
+            break
+    raise DomainError(f"q = {q} is not a prime power")
+
+
 def _read_matrix(path):
+    """(q, GF(q), rows) of a matrix file."""
     with open(path) as fh:
-        return serialize.matrix_from_text(fh.read())
+        q, rows = serialize.matrix_from_text(fh.read())
+    return q, _field(q), rows
 
 
 def cmd_dual(args):
-    q, rows = _read_matrix(args.matrix)
-    field = field_make(*_split_q(q))
+    q, field, rows = _read_matrix(args.matrix)
     A = macwilliams.subspace_from_rows(field, rows)
     dual = macwilliams.orthogonal(A)
     members = macwilliams.enumerate_subspace(dual)
@@ -55,37 +73,16 @@ def cmd_dual(args):
 
 
 def cmd_macwilliams(args):
-    q, rows = _read_matrix(args.matrix)
-    field = field_make(*_split_q(q))
+    _, field, rows = _read_matrix(args.matrix)
     A = macwilliams.subspace_from_rows(field, rows)
     _emit(args, serialize.genpoly_to_json(macwilliams.mw_transform(A)))
 
 
-def _split_q(q):
-    """Factor q = p^r for field construction."""
-    for p in range(2, q + 1):
-        r = 0
-        t = q
-        while t % p == 0:
-            t //= p
-            r += 1
-        if t == 1 and r >= 1:
-            return p, r
-        if q % p == 0:
-            break
-    raise DomainError(f"q = {q} is not a prime power")
-
-
 def cmd_gabidulin(args):
     spec = mrd.gabidulin_make(args.q, args.n, args.m, args.k)
-    out = {}
     if args.emit:
-        blocks = []
-        for cw in mrd.enumerate_code(spec):
-            blocks.append(serialize.matrix_to_text(args.q, cw.entries))
-        _emit(args, "\n".join(blocks))
-        return
-    if args.verify == "mrd":
+        out = "\n".join(serialize.matrix_to_text(args.q, cw.entries) for cw in mrd.enumerate_code(spec))
+    elif args.verify == "mrd":
         out = mrd.verify_mrd(spec)
     elif args.verify == "scc":
         out = mrd.verify_scc(mrd.gabidulin_ensemble(spec))
@@ -108,32 +105,28 @@ def _type_near(p0, n, q):
 
 
 def cmd_ldgm_bound(args):
-    field = field_make(*_split_q(args.q))
-    params = ldgm.LdgmParams(field, args.c, args.d, args.n)
+    params = ldgm.LdgmParams(_field(args.q), args.c, args.d, args.n)
     P = _type_near(args.p0, params.in_len, args.q)
     Q = _type_near(args.q0, params.out_len, args.q)
+    p0, q0 = P.counts[0] / P.n, Q.counts[0] / Q.n
     out = {
-        "p0": float(P.counts[0] / P.n),
-        "q0": float(Q.counts[0] / Q.n),
-        "delta_qd": ldgm.delta_qd(args.q, args.d, P.counts[0] / P.n, Q.counts[0] / Q.n),
-        "J": ldgm.J(args.q, args.d, P.counts[0] / P.n, Q.counts[0] / Q.n),
+        "p0": p0,
+        "q0": q0,
+        "delta_qd": ldgm.delta_qd(args.q, args.d, p0, q0),
+        "J": ldgm.J(args.q, args.d, p0, q0),
         "alpha_bound": ldgm.ldgm_alpha_bound(params, P, Q),
     }
     _emit(args, out)
 
 
 def cmd_ldgm_sample(args):
-    field = field_make(*_split_q(args.q))
-    params = ldgm.LdgmParams(field, args.c, args.d, args.n)
+    params = ldgm.LdgmParams(_field(args.q), args.c, args.d, args.n)
     code, edges = ldgm.ldgm_sample(params, args.seed)
-    text = serialize.matrix_to_text(args.q, code.generator)
+    _emit(args, serialize.matrix_to_text(args.q, code.generator))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         with open(args.out + ".edges.json", "w") as fh:
             json.dump({"edges": edges}, fh)
     else:
-        print(text)
         print(json.dumps({"edges": edges}))
 
 
@@ -143,19 +136,16 @@ def cmd_design(args):
 
 
 def cmd_compose(args):
-    q, outer_rows = _read_matrix(args.outer)
-    q2, inner_rows = _read_matrix(args.inner)
+    q, field, outer_rows = _read_matrix(args.outer)
+    q2, _, inner_rows = _read_matrix(args.inner)
     if q != q2:
         raise DimensionMismatch(f"outer matrix is over GF({q}), inner over GF({q2})")
-    field = field_make(*_split_q(q))
     outer = LinearCode(field, outer_rows)
     inner = LinearCode(field, inner_rows)
     if args.perm:
         with open(args.perm) as fh:
             perm = serialize._integers(fh.read().split())
     else:
-        import random
-
         rng = random.Random(args.seed)
         perm = list(range(outer.m))
         rng.shuffle(perm)
@@ -166,19 +156,17 @@ def cmd_compose(args):
 
 def cmd_verify_equivalence(args):
     if args.matrix:
-        q, rows = _read_matrix(args.matrix)
+        q, field, rows = _read_matrix(args.matrix)
         if args.q not in (None, q):
             raise DimensionMismatch(f"matrix is over GF({q}), --q is {args.q}")
     else:
-        q = 2 if args.q is None else args.q
+        field = _field(2 if args.q is None else args.q)
         rows = tuple(tuple(1 if i == j else 0 for j in range(args.n)) for i in range(args.n))
-    code = LinearCode(field_make(*_split_q(q)), rows)
+    code = LinearCode(field, rows)
     fn = designer.equivalence_G1 if args.mode == "g1" else designer.equivalence_G2
-    exact = args.samples == 0
-    out = fn(code, exact=exact, samples=args.samples or 10**5, seed=args.seed)
-    out["probability"] = str(out["probability"]) if exact else out["probability"]
+    out = fn(code, exact=args.samples == 0, samples=args.samples or 10**5, seed=args.seed)
     out["kq"] = float(out["kq"])
-    out["exceeds_kq"] = float(Fraction(out["probability"]) if exact else out["probability"]) > out["kq"]
+    out["exceeds_kq"] = float(out["probability"]) > out["kq"]
     _emit(args, out)
 
 
@@ -221,18 +209,26 @@ def _unit_float(text):
 def build_parser():
     top = argparse.ArgumentParser(prog="codespectra")
     sub = top.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    ldgm_params = argparse.ArgumentParser(add_help=False)
+    ldgm_params.add_argument("--q", type=int, required=True)
+    ldgm_params.add_argument("--c", type=_positive_int, required=True)
+    ldgm_params.add_argument("--d", type=_positive_int, required=True)
+    ldgm_params.add_argument("--n", type=_positive_int, required=True)
 
-    p = sub.add_parser("dual", help="spectrum of the orthogonal complement")
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[*parents, out])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("dual", cmd_dual, "spectrum of the orthogonal complement")
     p.add_argument("matrix")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_dual)
 
-    p = sub.add_parser("macwilliams", help="dual generating function by character substitution")
+    p = command("macwilliams", cmd_macwilliams, "dual generating function by character substitution")
     p.add_argument("matrix")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_macwilliams)
 
-    p = sub.add_parser("gabidulin", help="build or verify a Gabidulin code")
+    p = command("gabidulin", cmd_gabidulin, "build or verify a Gabidulin code")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
@@ -240,60 +236,38 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit", action="store_true")
     p.add_argument("--verify", choices=["mrd", "scc", "kernel"])
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gabidulin)
 
-    p = sub.add_parser("ldgm-bound", help="evaluate the LDGM spectrum bound")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=_positive_int, required=True)
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
+    p = command("ldgm-bound", cmd_ldgm_bound, "evaluate the LDGM spectrum bound", ldgm_params)
     p.add_argument("--p0", type=_unit_float, required=True)
     p.add_argument("--q0", type=_unit_float, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ldgm_bound)
 
-    p = sub.add_parser("ldgm-sample", help="draw a sparse LDGM generator")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--c", type=_positive_int, required=True)
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
+    p = command("ldgm-sample", cmd_ldgm_sample, "draw a sparse LDGM generator", ldgm_params)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ldgm_sample)
 
-    p = sub.add_parser("design", help="choose inner LDGM parameters")
+    p = command("design", cmd_design, "choose inner LDGM parameters")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--outer-rate", type=_positive_fraction, required=True)
     p.add_argument("--p0-min", type=float, required=True)
     p.add_argument("--p0-max", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("compose", help="concatenate two codes through an interleaver")
+    p = command("compose", cmd_compose, "concatenate two codes through an interleaver")
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--perm")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("verify-equivalence", help="kernel/image preservation probability")
+    p = command("verify-equivalence", cmd_verify_equivalence, "kernel/image preservation probability")
     p.add_argument("--mode", choices=["g1", "g2"], required=True)
     p.add_argument("--q", type=int, help="default: the matrix file's q, else 2")
     p.add_argument("--n", type=_positive_int, default=2)
     p.add_argument("--matrix")
     p.add_argument("--samples", type=_int_at_least(0), default=0, help="0 means the exact value")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify_equivalence)
 
-    p = sub.add_parser("lower-bound", help="single-code max-alpha lower bound")
+    p = command("lower-bound", cmd_lower_bound, "single-code max-alpha lower bound")
     p.add_argument("--alphabet-size", type=_int_at_least(2), required=True)
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lower_bound)
 
     return top
 

@@ -369,12 +369,16 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def field_make(p, r=1, modulus=None):
-    if not is_prime(p):
+    """GF(p^r).  The size is decided before p's primality, so an oversized p is
+    never trial-divided, and p^r is never formed once 2^r alone is too large."""
+    if p < 2:
         raise NonPrimeP(f"{p} is not prime")
     if r < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**r > FIELD_SIZE_LIMIT:
-        raise FieldTooLarge(f"p^r = {p**r} exceeds limit {FIELD_SIZE_LIMIT}")
+    if r >= FIELD_SIZE_LIMIT.bit_length() or p**r > FIELD_SIZE_LIMIT:
+        raise FieldTooLarge(f"GF(p^r) with p = {p}, r = {r} exceeds limit {FIELD_SIZE_LIMIT}")
+    if not is_prime(p):
+        raise NonPrimeP(f"{p} is not prime")
     if modulus is None:
         modulus = default_modulus(p, r)
     else:

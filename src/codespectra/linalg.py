@@ -20,20 +20,7 @@ def matvec(field, x, A):
 
 
 def matmul(field, A, B):
-    n = len(A)
-    inner = len(B)
-    m = len(B[0]) if B else 0
-    out = []
-    for i in range(n):
-        row = [0] * m
-        for t in range(inner):
-            a = A[i][t]
-            if a == 0:
-                continue
-            for j in range(m):
-                row[j] = field.add(row[j], field.mul(a, B[t][j]))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(matvec(field, row, B) for row in A)
 
 
 def transpose(A):

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DimensionMismatch
 from .genfun import GenPoly, genfun_from_joint
 from .linalg import null_space, rref
 from .spectra import LinearCode, _check_size, _graph, _span_types, _span_walk, code_joint_spectrum, partition_make
@@ -37,6 +38,8 @@ class Subspace:
 def subspace_from_rows(field, rows, n=None):
     rows = [tuple(r) for r in rows]
     if n is None:
+        if not rows:
+            raise DimensionMismatch("no rows and no n: the length is unknown")
         n = len(rows[0])
     basis, _ = rref(field, rows)
     return Subspace(field, n, basis)

@@ -77,6 +77,8 @@ def matrix_from_text(text):
     if len(header) != 3:
         raise DimensionMismatch(f"header {header} is not 'q n m'")
     q, n, m = _integers(header)
+    if n < 1 or m < 1:
+        raise DimensionMismatch(f"header says {n} x {m}; a matrix needs n, m >= 1")
     rows = []
     for ln in lines[1 : n + 1]:
         row = _integers(ln.split())

@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +212,39 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["mrd_ok"]
 
 
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("readme_examples", ROOT / "scripts" / "readme_examples.py")
+readme_examples = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(readme_examples)
+README_ARGVS = list(readme_examples.examples(ROOT / "README.md"))
+
+
+def test_readme_has_an_example_of_every_subcommand():
+    assert len(README_ARGVS) == 11
+    assert {argv[0] for argv in README_ARGVS} == {
+        "dual", "macwilliams", "gabidulin", "ldgm-bound", "ldgm-sample", "design", "compose",
+        "verify-equivalence", "lower-bound",
+    }
+
+
+@pytest.mark.parametrize("argv", README_ARGVS, ids=" ".join)
+def test_out_writes_what_stdout_prints(tmp_path, monkeypatch, capsys, argv):
+    for name in readme_examples.INPUTS:
+        shutil.copy(readme_examples.DATA / name, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    if "--out" in argv:  # ldgm-sample: the matrix file plus an .edges.json sidecar
+        argv = argv[: argv.index("--out")]
+    printed = _run(capsys, argv)
+    assert _run(capsys, [*argv, "--out", "res.txt"]) == ""
+    written = (tmp_path / "res.txt").read_text()
+    if argv[0] == "ldgm-sample":
+        matrix, edges = printed.split("\n\n")
+        assert written == matrix + "\n"
+        assert (tmp_path / "res.txt.edges.json").read_text() == edges.rstrip("\n")
+    else:
+        assert written == printed.rstrip("\n") + "\n"
+
+
 def test_bad_q_rejected(capsys):
     argv = ["ldgm-bound", "--q", "6", "--c", "1", "--d", "2", "--n", "2", "--p0", "0.5", "--q0", "0.5"]
     assert _json_error(capsys, argv) == "DomainError"
@@ -229,6 +265,12 @@ def _json_error(capsys, argv):
         (["gabidulin", "--q", "2", "--n", "2", "--m", "2", "--k", "3"], "DomainError"),
         (["gabidulin", "--q", "2", "--n", "3", "--m", "2", "--k", "0"], "DomainError"),
         (["verify-equivalence", "--mode", "g1", "--q", "6"], "DomainError"),
+        (["ldgm-bound", "--q", "2147483647", "--c", "1", "--d", "2", "--n", "1", "--p0", "0.5", "--q0", "0.5"],
+         "FieldTooLarge"),
+        (["ldgm-sample", "--q", "2147483647", "--c", "1", "--d", "2", "--n", "1"], "FieldTooLarge"),
+        (["verify-equivalence", "--mode", "g1", "--q", "2147483647"], "FieldTooLarge"),
+        (["gabidulin", "--q", "2", "--n", "20000", "--m", "2", "--k", "1"], "FieldTooLarge"),
+        (["gabidulin", "--q", "1000000000000000003", "--n", "2", "--m", "2", "--k", "1"], "FieldTooLarge"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
@@ -271,6 +313,7 @@ def test_ldgm_bound_writes_infinities_as_strings(capsys):
         ("2 1 2\n1 5\n", DomainError),  # entry outside GF(2)
         ("2 1 2\n1 x\n", DomainError),  # entry not an integer
         ("2 one 2\n1 0\n", DomainError),  # header field not an integer
+        ("2 0 3\n", DimensionMismatch),  # no rows
     ],
 )
 def test_macwilliams_rejects_malformed_matrix(tmp_path, capsys, text, error):
@@ -309,6 +352,19 @@ def test_genpoly_json_roundtrip(data):
     ):
         back = genpoly_from_json(json.loads(json.dumps(genpoly_to_json(p))))
         assert back == p and back.vars == p.vars
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("2 0 3\n", "DimensionMismatch"),  # no rows
+        ("2147483647 1 1\n1\n", "FieldTooLarge"),  # refused before q is factored
+    ],
+)
+def test_dual_rejects_a_matrix_without_rows_or_with_a_huge_field(tmp_path, capsys, text, error):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert _json_error(capsys, ["dual", str(path)]) == error
 
 
 def test_short_header_is_a_one_line_json_error(tmp_path, capsys):

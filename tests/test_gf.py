@@ -33,12 +33,28 @@ def test_gf3_arithmetic():
 def test_field_make_errors():
     with pytest.raises(NonPrimeP):
         field_make(4)
+    with pytest.raises(NonPrimeP):
+        field_make(1)
     with pytest.raises(ReducibleModulus):
         field_make(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
     with pytest.raises(ReducibleModulus):
         FieldSpec(2, 2, (1, 0, 1))  # no irreducibility check before the tables
     with pytest.raises(FieldTooLarge):
         field_make(2, 17)
+
+
+@pytest.mark.parametrize(
+    "p,r",
+    [
+        (2, 20000),  # 2^20000 has more decimal digits than int -> str allows
+        (10**18 + 3, 1),  # prime, refused before any trial division
+        (10**6, 1),  # composite, but the size is checked before primality
+    ],
+)
+def test_field_make_refuses_oversized_fields_by_size_first(p, r):
+    with pytest.raises(FieldTooLarge) as err:
+        field_make(p, r)
+    assert f"p = {p}, r = {r}" in str(err.value)
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (3, 1), (2, 3), (5, 1), (3, 2)])

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codespectra.errors import DimensionMismatch
 from codespectra.genfun import GenPoly, genfun_of_set
 from codespectra.gf import field_make
 from codespectra.macwilliams import (
@@ -51,6 +52,12 @@ def test_orthogonal_examples():
     assert orthogonal(full).dim == 0
     zero = Subspace(f2, 2, ())
     assert orthogonal(zero).dim == 2
+
+
+def test_subspace_from_no_rows_needs_n():
+    assert subspace_from_rows(f2, [], 3) == Subspace(f2, 3, ())
+    with pytest.raises(DimensionMismatch):
+        subspace_from_rows(f2, [])
 
 
 @settings(max_examples=100, deadline=None)
